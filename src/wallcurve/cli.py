@@ -83,11 +83,17 @@ def _json_val(v):
     return float(v)
 
 
+def _check_stride(stride: int | None) -> None:
+    if stride is not None and stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+
+
 def _default_stride(n_steps: int) -> int:
     return max(1, int(np.ceil((n_steps + 1) / MAX_DEFAULT_ROWS)))
 
 
 def cmd_walk(args: argparse.Namespace) -> int:
+    _check_stride(args.stride)
     path = simulate_walk(args.steps, args.seed)
     trace = discrete_brick_trace(path)
     # Full resolution by default: one row per placed block.
@@ -102,6 +108,7 @@ def cmd_walk(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    _check_stride(args.stride)
     path = simulate_walk(args.steps, args.seed)
     trace = build_trace(path, args.n, estimator=args.estimator, eps=args.eps)
     if args.c != 1.0 or args.d != 1.0:

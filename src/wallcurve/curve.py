@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scaling import ScaledPath, _active_segments, default_band_width, band_local_time, donsker_rescale
-from .walk import WalkPath, _running_visit_rank, stream
+from .scaling import ScaledPath, _active_segments, _check_time, default_band_width, band_local_time, donsker_rescale
+from .walk import OccupationField, WalkPath, stream, walk_sites
 
 __all__ = [
     "CurveTrace",
@@ -95,7 +95,7 @@ def build_trace(
     if estimator == "occupation":
         times = np.arange(path.n_steps + 1) / n
         levels = path.positions / root_n
-        heights = _running_visit_rank(path.positions) / root_n
+        heights = OccupationField().drop(path.positions)[1] / root_n
         return CurveTrace(
             times=times, levels=levels, heights=heights, n=n, estimator_tag="occupation"
         )
@@ -147,8 +147,7 @@ def wall_area(
         raise ValueError(f"height factor d must be > 0, got {d}")
     if eps is not None and eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    if not 0.0 <= t <= path.horizon * (1 + 1e-12):
-        raise ValueError(f"t must be in [0, {path.horizon}], got {t}")
+    _check_time(t, path.horizon)
     k = _active_segments(t, path.n, path.n_segments)
     if k == 0:
         return 0.0
@@ -202,8 +201,9 @@ def coverage_check(
     of cells cannot be reached (heights move in steps of ``n**-0.5``).
 
     The walk is extended in geometrically growing chunks, with per-site
-    visit counts carried across chunks, so memory stays bounded and a run
-    stops as soon as the grid is covered.  Chunk boundaries depend only on
+    visit counts carried across chunks by the streaming wall
+    (:meth:`~wallcurve.walk.OccupationField.drop`), so memory stays bounded
+    and a run stops as soon as the grid is covered.  Chunk boundaries depend only on
     the round index, never on the budget, so a longer budget replays the
     same trajectory further: covered counts are monotone in the budget.
     """
@@ -222,10 +222,6 @@ def coverage_check(
     nh = int(np.ceil(window.h_hi / delta))
     first_cover = np.full((nx, nh), np.nan)
     root_n = np.sqrt(float(n))
-
-    # Dense per-site counts, re-centred on the walk's running range.
-    offset = 1 << 12
-    counts = np.zeros(2 * offset, dtype=np.int64)
 
     def mark(times: np.ndarray, x: np.ndarray, h: np.ndarray) -> None:
         inside = (
@@ -248,32 +244,20 @@ def coverage_check(
         view[uniq[new]] = tsel[new]
 
     # Initial block at the origin, before any step.
-    counts[offset] = 1
-    mark(np.array([0.0]), np.array([0.0]), np.array([1.0 / root_n]))
+    pos = np.zeros(1, dtype=np.int64)
+    wall, h = OccupationField().drop(pos)
+    mark(np.zeros(1), np.zeros(1), h / root_n)
 
     rng = stream(seed, 0, domain=0)
     steps_used = 0
-    last_pos = 0
     chunk = _CHUNK_START
     while steps_used < step_budget and np.isnan(first_cover).any():
-        draw = 2 * rng.integers(0, 2, size=chunk, dtype=np.int64) - 1
         use = min(chunk, step_budget - steps_used)
-        pos = last_pos + np.cumsum(draw[:use])
-        lo, hi = int(pos.min()), int(pos.max())
-        while lo + offset < 0 or hi + offset >= len(counts):
-            counts = np.concatenate(
-                [np.zeros(len(counts), np.int64), counts, np.zeros(len(counts), np.int64)]
-            )
-            offset += (len(counts) // 3)
-        idx = pos + offset
-        ranks = _running_visit_rank(idx)
-        h = (counts[idx] + ranks) / root_n
+        pos = walk_sites(rng, use, start=int(pos[-1]))[1:]
+        wall, h = wall.drop(pos)
         times = (steps_used + 1 + np.arange(use)) / n
-        mark(times, pos / root_n, h)
-        base = lo + offset
-        counts[base : hi + offset + 1] += np.bincount(idx - base, minlength=hi - lo + 1)
+        mark(times, pos / root_n, h / root_n)
         steps_used += use
-        last_pos = int(pos[-1])
         chunk = min(chunk * 2, _CHUNK_CAP)
 
     covered = int(np.count_nonzero(~np.isnan(first_cover)))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import stream
+from .walk import stream, walk_sites
 
 __all__ = [
     "DensityModel",
@@ -153,9 +153,6 @@ def sample_exact(t: float, seed: int, size: int) -> np.ndarray:
     return np.column_stack([y, s])
 
 
-_BLOCK = 256
-
-
 def sample_identity_pair(
     t: float,
     seed: int,
@@ -188,35 +185,30 @@ def sample_identity_pair(
     if side not in IDENTITY_SIDES:
         raise ValueError(f"unknown side {side!r}, expected one of {IDENTITY_SIDES}")
     m = max(1, int(np.ceil(t * n - 1e-9)))
-    root_n = np.sqrt(float(n))
     domain = _WALK_DOMAIN[side]
     out = np.empty((replicates, 2))
-    for start in range(0, replicates, _BLOCK):
-        stop = min(start + _BLOCK, replicates)
-        block = stop - start
-        pos = np.empty((block, m + 1), dtype=np.int64)
-        pos[:, 0] = 0
-        for i, r in enumerate(range(start, stop)):
-            rng = stream(seed, r, domain=domain)
-            steps = 2 * rng.integers(0, 2, size=m, dtype=np.int64) - 1
-            np.cumsum(steps, out=pos[i, 1:])
-        end = pos[:, -1]
+    # One replicate at a time, reduced at once: memory stays O(m).
+    for r in range(replicates):
+        pos = walk_sites(stream(seed, r, domain=domain), m)
+        end = pos[-1]
         if side == "lhs":
-            out[start:stop, 0] = end / root_n
-            out[start:stop, 1] = (pos == end[:, None]).sum(axis=1) / root_n
+            out[r] = end, np.count_nonzero(pos == end)
         elif side == "reversal":
-            out[start:stop, 0] = end / root_n
-            out[start:stop, 1] = (pos == 0).sum(axis=1) / root_n
+            out[r] = end, np.count_nonzero(pos == 0)
         else:
-            run_max = np.maximum(pos.max(axis=1), 0)
-            out[start:stop, 0] = (run_max - end) / root_n
-            out[start:stop, 1] = run_max / root_n
+            run_max = pos.max()
+            out[r] = run_max - end, run_max
+    out /= np.sqrt(float(n))
     if side == "signed":
         if signs is None:
-            signs = np.empty(replicates)
-            for r in range(replicates):
-                rng = stream(seed, r, domain=_SIGN_DOMAIN)
-                signs[r] = 2.0 * rng.integers(0, 2) - 1.0
+            # A fair sign is the one step of a one-step walk.
+            signs = np.array(
+                [
+                    walk_sites(stream(seed, r, domain=_SIGN_DOMAIN), 1)[1]
+                    for r in range(replicates)
+                ],
+                dtype=float,
+            )
         else:
             signs = np.asarray(signs, dtype=float)
             if signs.shape != (replicates,):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import WalkPath
+from .walk import OccupationField, WalkPath
 
 __all__ = [
     "ScaledPath",
@@ -146,10 +146,11 @@ def band_local_time(path: ScaledPath, y: float, t: float, eps: float) -> float:
     return measure / (2.0 * eps)
 
 
-def snap_level(y: float, n: int) -> int:
-    """Lattice site nearest to ``y * sqrt(n)``, ties toward zero."""
-    z = y * np.sqrt(float(n))
-    return int(np.sign(z) * np.ceil(abs(z) - 0.5))
+def snap_level(y, n: int):
+    """Lattice site nearest to ``y * sqrt(n)``, ties toward zero (elementwise)."""
+    z = np.asarray(y, dtype=float) * np.sqrt(float(n))
+    sites = (np.sign(z) * np.ceil(np.abs(z) - 0.5)).astype(np.int64)
+    return sites if sites.ndim else int(sites)
 
 
 def occupation_local_time(path: WalkPath, n: int, y: float, t: float) -> float:
@@ -157,10 +158,7 @@ def occupation_local_time(path: WalkPath, n: int, y: float, t: float) -> float:
     if n < 1:
         raise ValueError(f"scale parameter n must be >= 1, got {n}")
     _check_time(t, path.n_steps / n)
-    m = min(path.n_steps, max(0, int(np.ceil(t * n - 1e-9))))
-    site = snap_level(y, n)
-    window = path.positions[: m + 1]
-    return int(np.count_nonzero(window == site)) / np.sqrt(float(n))
+    return _occupation_profile(path.positions, n, t, np.array([y]))[0]
 
 
 def _band_profile(
@@ -220,15 +218,11 @@ def _occupation_profile(
     positions: np.ndarray, n: int, t: float, levels: np.ndarray
 ) -> np.ndarray:
     m = min(len(positions) - 1, max(0, int(np.ceil(t * n - 1e-9))))
-    window = positions[: m + 1]
-    lo = int(window.min())
-    counts = np.bincount(window - lo)
-    z = levels * np.sqrt(float(n))
-    sites = (np.sign(z) * np.ceil(np.abs(z) - 0.5)).astype(np.int64)
-    idx = sites - lo
-    valid = (idx >= 0) & (idx < len(counts))
+    wall = OccupationField().drop(positions[: m + 1])[0]
+    idx = snap_level(levels, n) - wall.min_site
+    valid = (idx >= 0) & (idx < len(wall.counts))
     values = np.zeros(len(levels))
-    values[valid] = counts[idx[valid]] / np.sqrt(float(n))
+    values[valid] = wall.counts[idx[valid]] / np.sqrt(float(n))
     return values
 
 

@@ -294,6 +294,13 @@ class ExperimentConfig:
     delta: float = 0.05
     step_budget: int = 10**8
 
+    def __post_init__(self) -> None:
+        # alpha = 1 is allowed: no p-value exceeds it, so it forces a fail verdict.
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        if not self.t > 0.0:
+            raise ValueError(f"t must be > 0, got {self.t}")
+
     def resolved_eps(self) -> float:
         return default_band_width(self.n) if self.eps is None else self.eps
 

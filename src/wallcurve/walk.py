@@ -10,11 +10,17 @@ All randomness flows through :func:`stream`, a counter-based Philox
 generator keyed by ``(seed, replicate)``.  Replicates are therefore
 independent, reproducible, and order-insensitive: they can be generated in
 any order (or concurrently) and merged by replicate index.
+
+This module is the only one that draws steps (:func:`walk_sites`) or counts
+blocks (:meth:`OccupationField.drop`, the streaming wall).  Philox draws do
+not depend on how they are chunked, so a walk extended chunk by chunk from
+one generator, and a wall fed chunk by chunk, match the one-shot versions
+exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,28 +59,43 @@ class WalkPath:
 
 @dataclass(frozen=True)
 class OccupationField:
-    """Per-site block counts of a walk prefix (the wall, site by site).
+    """Per-site block counts of a walk prefix: the wall, grown chunk by chunk.
 
     Counts are stored densely from ``min_site`` upward; a walk visits every
     site between its running extremes, so the dense window has no holes.
+    ``OccupationField()`` is the empty wall.
     """
 
-    min_site: int
-    counts: np.ndarray
-    total: int
-
-    def at(self, site: int) -> int:
-        """Block count at ``site`` (0 outside the visited window)."""
-        idx = site - self.min_site
-        if idx < 0 or idx >= len(self.counts):
-            return 0
-        return int(self.counts[idx])
+    min_site: int = 0
+    counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    total: int = 0
 
     def sites(self) -> np.ndarray:
         return self.min_site + np.arange(len(self.counts))
 
     def as_dict(self) -> dict[int, int]:
         return {int(j): int(c) for j, c in zip(self.sites(), self.counts)}
+
+    def drop(self, sites: np.ndarray) -> tuple[OccupationField, np.ndarray]:
+        """Drop one block on each of ``sites``, in order.
+
+        Returns the grown wall and each new block's height, i.e. the number
+        of blocks at its site once it is placed.
+        """
+        sites = np.asarray(sites, dtype=np.int64)
+        if len(sites) == 0:
+            return self, np.zeros(0, dtype=np.int64)
+        lo, hi = int(sites.min()), int(sites.max())
+        if len(self.counts):
+            lo = min(lo, self.min_site)
+            hi = max(hi, self.min_site + len(self.counts) - 1)
+        counts = np.zeros(hi - lo + 1, dtype=np.int64)
+        offset = self.min_site - lo
+        counts[offset : offset + len(self.counts)] = self.counts
+        idx = sites - lo
+        heights = counts[idx] + _running_visit_rank(idx)
+        counts += np.bincount(idx, minlength=len(counts))
+        return OccupationField(min_site=lo, counts=counts, total=self.total + len(sites)), heights
 
 
 @dataclass(frozen=True)
@@ -97,6 +118,20 @@ class BlockTrace:
         return zip(self.steps.tolist(), self.sites.tolist(), self.heights.tolist())
 
 
+def walk_sites(rng: np.random.Generator, n_steps: int, start: int = 0) -> np.ndarray:
+    """Sites of ``n_steps`` fair +/-1 steps from ``start``, ``start`` first.
+
+    The one step source: each step is one fair bit drawn from ``rng`` (a
+    caller-built :func:`stream`).  Continuing from the last site with the
+    same generator extends the walk exactly as one longer call would.
+    """
+    sites = np.empty(n_steps + 1, dtype=np.int64)
+    sites[0] = start
+    if n_steps:
+        sites[1:] = 2 * rng.integers(0, 2, size=n_steps, dtype=np.int64) - 1
+    return np.cumsum(sites, out=sites)
+
+
 def simulate_walk(n_steps: int, seed: int, replicate: int = 0) -> WalkPath:
     """Simulate ``n_steps`` fair +/-1 steps from the origin.
 
@@ -104,12 +139,7 @@ def simulate_walk(n_steps: int, seed: int, replicate: int = 0) -> WalkPath:
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    rng = stream(seed, replicate, domain=0)
-    positions = np.empty(n_steps + 1, dtype=np.int64)
-    positions[0] = 0
-    if n_steps:
-        steps = 2 * rng.integers(0, 2, size=n_steps, dtype=np.int64) - 1
-        np.cumsum(steps, out=positions[1:])
+    positions = walk_sites(stream(seed, replicate, domain=0), n_steps)
     return WalkPath(seed=seed, n_steps=n_steps, positions=positions, replicate=replicate)
 
 
@@ -124,38 +154,29 @@ def occupation_field(path: WalkPath, up_to_step: int | None = None) -> Occupatio
         raise ValueError(
             f"up_to_step must be in [0, {path.n_steps}], got {up_to_step}"
         )
-    window = path.positions[: up_to_step + 1]
-    lo = int(window.min())
-    counts = np.bincount(window - lo)
-    return OccupationField(min_site=lo, counts=counts, total=up_to_step + 1)
+    return OccupationField().drop(path.positions[: up_to_step + 1])[0]
 
 
-def _running_visit_rank(sites: np.ndarray) -> np.ndarray:
-    """Rank of each entry within its site group, in time order (1-based).
+def _running_visit_rank(idx: np.ndarray) -> np.ndarray:
+    """Rank of each entry among equal entries, in time order (1-based).
 
-    Equivalent to walking the array and incrementing a per-site counter;
-    implemented with one stable sort so it vectorizes.
+    Equivalent to walking the array and incrementing a per-site counter.
+    ``idx`` holds non-negative site offsets; one stable sort groups them
+    (as uint16, by linear-time radix sort, when they fit) and each group's
+    start in sorted order comes from the per-site tally.
     """
-    m = len(sites)
-    order = np.argsort(sites, kind="stable")
-    sorted_sites = sites[order]
-    group_start = np.zeros(m, dtype=np.int64)
-    if m > 1:
-        new_group = np.empty(m, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = sorted_sites[1:] != sorted_sites[:-1]
-        group_start = np.maximum.accumulate(
-            np.where(new_group, np.arange(m, dtype=np.int64), 0)
-        )
-    rank_sorted = np.arange(m, dtype=np.int64) - group_start + 1
-    ranks = np.empty(m, dtype=np.int64)
-    ranks[order] = rank_sorted
+    tally = np.bincount(idx)
+    key = idx.astype(np.uint16) if len(tally) <= 1 << 16 else idx
+    order = np.argsort(key, kind="stable")
+    first = np.cumsum(tally) - tally
+    ranks = np.empty(len(idx), dtype=np.int64)
+    ranks[order] = np.arange(1, len(idx) + 1) - first[idx[order]]
     return ranks
 
 
 def discrete_brick_trace(path: WalkPath) -> BlockTrace:
     """Record every block placement as (step, site, running height at site)."""
     sites = path.positions
-    heights = _running_visit_rank(sites)
+    heights = OccupationField().drop(sites)[1]
     steps = np.arange(len(sites), dtype=np.int64)
     return BlockTrace(steps=steps, sites=sites.copy(), heights=heights)

@@ -142,7 +142,7 @@ def test_verify_unknown_experiment_exits_two(capsys):
 def test_invalid_parameters_exit_two(capsys):
     code, _, err = run_cli(capsys, "verify", "area", "--t", "-1")
     assert code == 2
-    assert "error" in err
+    assert "error: t must be > 0, got -1.0" in err
 
 
 def test_unwritable_output_exits_two(capsys, tmp_path):
@@ -157,3 +157,28 @@ def test_float_formatting_round_trips():
     for x in (0.25, 1 / 3, 1e-17, 123456.789012345678, 2.0**-52):
         assert float(_fmt(x)) == x
         assert _fmt(float(_fmt(x))) == _fmt(x)
+
+
+@pytest.mark.parametrize("command", [["walk", "--steps", "4"], ["curve", "--steps", "4", "--n", "4"]])
+@pytest.mark.parametrize("stride", ["-1", "0"])
+def test_stride_below_one_exits_two(capsys, command, stride):
+    code, out, err = run_cli(capsys, *command, "--stride", stride)
+    assert code == 2
+    assert out == ""
+    assert f"stride must be >= 1, got {stride}" in err
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--alpha", "7", "alpha must be in (0, 1]"),
+        ("--alpha", "0", "alpha must be in (0, 1]"),
+        ("--alpha", "nan", "alpha must be in (0, 1]"),
+        ("--t", "0", "t must be > 0"),
+    ],
+)
+def test_verify_config_out_of_range_exits_two(capsys, option, value, message):
+    code, out, err = run_cli(capsys, "verify", "area", option, value)
+    assert code == 2
+    assert out == ""
+    assert message in err

@@ -1,5 +1,7 @@
 """Closed-form fixed-time laws and the identity-chain samplers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -154,3 +156,14 @@ def test_exact_sampler_matches_model_moments():
     assert radial.mean() == pytest.approx(2 * np.sqrt(2 / np.pi), abs=0.01)
     assert pairs[:, 0].mean() == pytest.approx(0.0, abs=0.01)
     assert pairs[:, 1].mean() == pytest.approx(np.sqrt(2 / np.pi), abs=0.01)
+
+
+def test_identity_sampler_memory_is_linear_in_walk_length():
+    # 256 replicates of 10**5 steps held at once would need about 205 MB.
+    tracemalloc.start()
+    try:
+        sample_identity_pair(1.0, 0, 10**5, "lhs", replicates=256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
