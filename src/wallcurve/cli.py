@@ -1,8 +1,9 @@
 """Command-line front end: simulate, trace, profile, verify.
 
-Emits CSV (comma-delimited, header row, 17-significant-digit floats,
-newline "\\n") or JSON (single object, canonical key order) so that every
-file round-trips byte-identically through parse/re-serialize.
+Tables are formatted by column: CSV (comma-delimited, header row, newline
+"\\n", integer columns as integers, float columns to 17 significant digits)
+or JSON records of the same values (canonical key order), so that every file
+round-trips byte-identically through parse/re-serialize.
 
 Exit codes for ``verify``: 0 pass, 1 statistical fail, 2 usage error.
 Seeds are always explicit flags or the reported default; there is no
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import IO, Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -40,47 +41,46 @@ _VERIFY_NAMES = {
     "coverage": "coverage",
 }
 
+# Table cell format per numpy dtype kind; CSV rows are built from it.
+_CELL = {"i": "%d", "u": "%d", "f": "%.17g"}
+_BLOCK = 1 << 16  # CSV rows formatted per write
+
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+    """One table cell, formatted by its dtype as :func:`_table` formats columns."""
+    return _CELL[np.asarray(value).dtype.kind] % value
 
 
-def _write_table(out: IO[str], header: list[str], rows: Iterable[tuple]) -> None:
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+def _dump_json(obj) -> Iterator[str]:
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    yield "\n"
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _table(fmt: str, header: list[str], columns, stride: int = 1) -> Iterator[str]:
+    """A table of numpy columns as text: one CSV row per index, or JSON records.
+
+    CSV rows come from one ``%`` template built from the column dtypes and
+    are produced ``_BLOCK`` rows at a time, so memory stays flat.
+    """
+    columns = [c[::stride] for c in columns]
+    if fmt == "json":
+        rows = zip(*(c.tolist() for c in columns))
+        yield from _dump_json([dict(zip(header, row)) for row in rows])
+        return
+    yield ",".join(header) + "\n"
+    template = ",".join(_CELL[c.dtype.kind] for c in columns) + "\n"
+    for start in range(0, len(columns[0]), _BLOCK):
+        rows = zip(*(c[start : start + _BLOCK].tolist() for c in columns))
+        yield "".join([template % row for row in rows])
 
 
-def _open_out(path: str | None):
+def _write(path: str | None, chunks: Iterable[str]) -> None:
+    """Write text chunks to ``path``, or to stdout when it is None or "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
-
-
-def _emit_table(path: str | None, fmt: str, header: list[str], rows) -> None:
-    out, close = _open_out(path)
-    try:
-        if fmt == "csv":
-            _write_table(out, header, rows)
-        else:
-            out.write(
-                _dump_json([{k: v for k, v in zip(header, map(_json_val, row))} for row in rows])
-            )
-    finally:
-        if close:
-            out.close()
-
-
-def _json_val(v):
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return float(v)
+        sys.stdout.writelines(chunks)
+        return
+    with open(path, "w", newline="\n") as out:
+        out.writelines(chunks)
 
 
 def _check_stride(stride: int | None) -> None:
@@ -97,13 +97,8 @@ def cmd_walk(args: argparse.Namespace) -> int:
     path = simulate_walk(args.steps, args.seed)
     trace = discrete_brick_trace(path)
     # Full resolution by default: one row per placed block.
-    stride = args.stride or 1
-    rows = zip(
-        trace.steps[::stride].tolist(),
-        trace.sites[::stride].tolist(),
-        trace.heights[::stride].tolist(),
-    )
-    _emit_table(args.output, args.format, ["k", "site", "height"], rows)
+    columns = (trace.steps, trace.sites, trace.heights)
+    _write(args.output, _table(args.format, ["k", "site", "height"], columns, args.stride or 1))
     return 0
 
 
@@ -114,12 +109,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if args.c != 1.0 or args.d != 1.0:
         trace = scale_trace(trace, args.c, args.d)
     stride = args.stride or _default_stride(len(trace) - 1)
-    rows = zip(
-        trace.times[::stride].tolist(),
-        trace.levels[::stride].tolist(),
-        trace.heights[::stride].tolist(),
-    )
-    _emit_table(args.output, args.format, ["t", "x", "h"], rows)
+    columns = (trace.times, trace.levels, trace.heights)
+    _write(args.output, _table(args.format, ["t", "x", "h"], columns, stride))
     return 0
 
 
@@ -130,8 +121,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     profile = local_time_profile(
         path, args.t, levels, eps=args.eps, estimator=args.estimator, n=args.n
     )
-    rows = zip(profile.levels.tolist(), profile.values.tolist())
-    _emit_table(args.output, args.format, ["y", "local_time"], rows)
+    columns = (profile.levels, profile.values)
+    _write(args.output, _table(args.format, ["y", "local_time"], columns))
     return 0
 
 
@@ -151,13 +142,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         step_budget=args.budget,
     )
     report = run_experiment(config)
-    text = _dump_json(report.to_dict())
-    out, close = _open_out(args.output)
-    try:
-        out.write(text)
-    finally:
-        if close:
-            out.close()
+    _write(args.output, _dump_json(report.to_dict()))
     return 0 if report.passed else 1
 
 

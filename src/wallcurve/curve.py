@@ -158,29 +158,17 @@ def wall_area(
 
 
 def fill_order_check(trace: CurveTrace) -> list[tuple[int, int]]:
-    """All index pairs (i < j) with equal position but decreasing height.
+    """Index pairs (i, j) of consecutive visits to one position where the height drops.
 
-    Empty for any trace built by :func:`build_trace`: the wall at a fixed
-    position only ever grows.
+    ``j`` is the next index after ``i`` with the same position.  The list is
+    empty exactly when the height at every position is non-decreasing in
+    time, as for any trace built by :func:`build_trace`: the wall at a fixed
+    position only ever grows.  Its length is below ``len(trace)``.
     """
-    m = len(trace)
-    if m == 0:
-        return []
-    order = np.lexsort((np.arange(m), trace.levels))
-    x_sorted = trace.levels[order]
-    violations: list[tuple[int, int]] = []
-    start = 0
-    for stop in range(1, m + 1):
-        if stop == m or x_sorted[stop] != x_sorted[start]:
-            group = order[start:stop]
-            h = trace.heights[group]
-            if np.any(np.diff(h) < 0):
-                for a in range(len(group)):
-                    for b in range(a + 1, len(group)):
-                        if h[a] > h[b]:
-                            violations.append((int(group[a]), int(group[b])))
-            start = stop
-    return violations
+    order = np.argsort(trace.levels, kind="stable")
+    same = trace.levels[order[1:]] == trace.levels[order[:-1]]
+    hits = np.flatnonzero(same & (trace.heights[order[1:]] < trace.heights[order[:-1]]))
+    return list(zip(order[hits].tolist(), order[hits + 1].tolist()))
 
 
 _CHUNK_START = 1 << 16

@@ -44,6 +44,7 @@ EXPERIMENTS = (
 )
 
 _EXACT_KS_LIMIT = 10_000
+_ASYMPTOTIC_KS_MIN = 50  # per-sample size from which the Kolmogorov tail holds
 _EXPECTED_FLOOR = 5.0
 _EDGE_TRUNCATION = 12.0  # outermost bin edge, in units of sqrt(t)
 
@@ -101,9 +102,9 @@ def ks_two_sample(a, b) -> tuple[float, float]:
 
     The statistic is the sup-distance between the two empirical CDFs,
     computed on the integer lattice so ties cost nothing.  The p-value is
-    exact (lattice-path enumeration) when len(a)*len(b) <= 10**4 and
-    otherwise uses the asymptotic Kolmogorov tail at the effective sample
-    size n1*n2/(n1+n2).
+    exact (lattice-path enumeration) when either sample has fewer than 50
+    points or len(a)*len(b) <= 10**4, and otherwise uses the asymptotic
+    Kolmogorov tail at the effective sample size n1*n2/(n1+n2).
     """
     a = np.sort(np.asarray(a, dtype=float).ravel())
     b = np.sort(np.asarray(b, dtype=float).ravel())
@@ -115,7 +116,7 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     j = np.searchsorted(b, merged, side="right").astype(np.int64)
     d_int = int(np.abs(i * n2 - j * n1).max())
     statistic = d_int / (n1 * n2)
-    if n1 * n2 <= _EXACT_KS_LIMIT:
+    if min(n1, n2) < _ASYMPTOTIC_KS_MIN or n1 * n2 <= _EXACT_KS_LIMIT:
         p_value = _ks_exact_pvalue(n1, n2, d_int)
     else:
         en = n1 * n2 / (n1 + n2)

@@ -147,6 +147,19 @@ def test_fill_order_flags_corrupted_heights():
     assert (i, j) in fill_order_check(bad)
 
 
+def test_fill_order_reports_consecutive_drops_only():
+    # 3000 visits to one position with falling heights: every one of the
+    # 2999 consecutive pairs drops, out of 4,498,500 inverted pairs.
+    k = 3000
+    reversed_wall = CurveTrace(
+        times=np.arange(k, dtype=float), levels=np.zeros(k),
+        heights=np.arange(k, 0, -1, dtype=float), n=1, estimator_tag="occupation",
+    )
+    pairs = fill_order_check(reversed_wall)
+    assert len(pairs) == k - 1
+    assert pairs == [(i, i + 1) for i in range(k - 1)]
+
+
 def test_scaling_preserves_fill_order():
     trace = build_trace(simulate_walk(500, seed=10), 500)
     assert fill_order_check(scale_trace(trace, -2.5, 0.3)) == []

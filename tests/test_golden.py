@@ -36,6 +36,18 @@ GOLDEN = {
         ("profile", "--estimator", "occupation"),
         "0b78dd97d3aa24fc1ddc105b2771e7225fe77ad40eeb9ec53f461fcbfa28da11",
     ),
+    "walk-json": (
+        ("walk", "--steps", "1000", "--format", "json"),
+        "959b6713f08c6786958491209db5f09d2e57ed99dfbcfd29462996c9b0dbcdbe",
+    ),
+    "curve-json": (
+        ("curve", "--format", "json"),
+        "b767622cbf8f8c8022d71e56722c9da9a7c5e577cd92bc32c893b92c9c0c8aed",
+    ),
+    "profile-json": (
+        ("profile", "--format", "json"),
+        "08531914d2586439d957e921cfde0ffc4b514f5b52ae64934dad179c46c184b3",
+    ),
     "verify-density": (
         ("verify", "density", *SMALL_VERIFY),
         "0c8d5bdd168b9cea4ed51a318ce2888bd623f0213c2940808e0d6d20ea03d287",

@@ -121,6 +121,21 @@ def test_ks_agrees_with_reference_implementation():
     assert p == pytest.approx(ref.pvalue, rel=1e-9)
 
 
+def test_ks_unbalanced_small_sample_uses_exact_pvalue():
+    # 10 x 2000 exceeds the product limit, but the asymptotic tail needs 50
+    # points per sample: it gave 0.0505 here, the exact law 0.0348.
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=10)
+    b = rng.normal(size=2000)
+    stat, p = ks_two_sample(a, b)
+    ref = ks_2samp(a, b, method="exact")
+    assert stat == pytest.approx(ref.statistic, abs=1e-12)
+    assert p == pytest.approx(ref.pvalue, rel=1e-9)
+    assert p < 0.05
+
+
 def test_bin_probabilities_sum_to_one():
     _, _, probs = _bin_probabilities(1.0, 12, 12)
     assert probs.sum() == pytest.approx(1.0, abs=1e-6)
