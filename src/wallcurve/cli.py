@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .curve import Window, build_trace, scale_trace
-from .scaling import local_time_profile
+from .scaling import _check_positive, local_time_profile
 from .stats import ExperimentConfig, run_experiment
 from .walk import discrete_brick_trace, simulate_walk
 
@@ -41,9 +41,11 @@ _VERIFY_NAMES = {
     "coverage": "coverage",
 }
 
-# Table cell format per numpy dtype kind; CSV rows are built from it.
+# Table cell format per numpy dtype kind; CSV rows are built from it.  JSON
+# writes finite floats with ``repr``, so its records use ``%r`` instead.
 _CELL = {"i": "%d", "u": "%d", "f": "%.17g"}
-_BLOCK = 1 << 16  # CSV rows formatted per write
+_JSON_CELL = {**_CELL, "f": "%r"}
+_BLOCK = 1 << 16  # table rows formatted per write
 
 
 def _fmt(value) -> str:
@@ -59,19 +61,30 @@ def _dump_json(obj) -> Iterator[str]:
 def _table(fmt: str, header: list[str], columns, stride: int = 1) -> Iterator[str]:
     """A table of numpy columns as text: one CSV row per index, or JSON records.
 
-    CSV rows come from one ``%`` template built from the column dtypes and
-    are produced ``_BLOCK`` rows at a time, so memory stays flat.
+    Rows come from one ``%`` template built from the column dtypes (a JSON
+    record lists its keys in sorted order, as ``json.dumps(sort_keys=True,
+    indent=2)`` does) and are produced ``_BLOCK`` rows at a time, so memory
+    stays flat.  JSON has no token for a non-finite float, so a JSON table
+    holding one raises ``ValueError``.
     """
     columns = [c[::stride] for c in columns]
     if fmt == "json":
-        rows = zip(*(c.tolist() for c in columns))
-        yield from _dump_json([dict(zip(header, row)) for row in rows])
-        return
-    yield ",".join(header) + "\n"
-    template = ",".join(_CELL[c.dtype.kind] for c in columns) + "\n"
+        header, columns = zip(*sorted(zip(header, columns), key=lambda col: col[0]))
+        fields = []
+        for name, c in zip(header, columns):
+            if c.dtype.kind == "f" and not np.isfinite(c).all():
+                raise ValueError(f"JSON cannot encode the non-finite values in column {name!r}")
+            fields.append(f"    {json.dumps(name)}: {_JSON_CELL[c.dtype.kind]}")
+        template = "  {\n" + ",\n".join(fields) + "\n  }"
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+    else:
+        template = ",".join(_CELL[c.dtype.kind] for c in columns) + "\n"
+        head, sep, tail = ",".join(header) + "\n", "", ""
+    yield head
     for start in range(0, len(columns[0]), _BLOCK):
         rows = zip(*(c[start : start + _BLOCK].tolist() for c in columns))
-        yield "".join([template % row for row in rows])
+        yield (sep if start else "") + sep.join([template % row for row in rows])
+    yield tail
 
 
 def _write(path: str | None, chunks: Iterable[str]) -> None:
@@ -115,6 +128,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    _check_positive("t", args.t)
     n_steps = args.steps or max(1, int(np.ceil(args.n * args.t)))
     path = simulate_walk(n_steps, args.seed)
     levels = np.linspace(args.ymin, args.ymax, args.levels)

@@ -17,7 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scaling import ScaledPath, _active_segments, _check_time, default_band_width, band_local_time, donsker_rescale
+from .scaling import (
+    ScaledPath,
+    _active_segments,
+    _check_finite,
+    _check_positive,
+    _check_time,
+    band_local_time,
+    default_band_width,
+    donsker_rescale,
+)
 from .walk import OccupationField, WalkPath, stream, walk_sites
 
 __all__ = [
@@ -115,12 +124,18 @@ def build_trace(
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
-def scale_trace(trace: CurveTrace, c: float, d: float) -> CurveTrace:
-    """Scale positions by ``c`` and heights by ``d`` (area rate |c|*d)."""
+def _check_factors(c: float, d: float) -> None:
+    """Reject a position factor ``c`` that is 0 or not finite, or a height
+    factor ``d`` that is not finite and > 0."""
+    _check_finite("position factor c", c)
     if c == 0:
         raise ValueError("position factor c must be nonzero")
-    if d <= 0:
-        raise ValueError(f"height factor d must be > 0, got {d}")
+    _check_positive("height factor d", d)
+
+
+def scale_trace(trace: CurveTrace, c: float, d: float) -> CurveTrace:
+    """Scale positions by ``c`` and heights by ``d`` (area rate |c|*d)."""
+    _check_factors(c, d)
     return CurveTrace(
         times=trace.times,
         levels=c * trace.levels,
@@ -141,12 +156,9 @@ def wall_area(
     therefore the sum of segment durations, scaled by ``|c| * d``; only
     floating-point rounding separates the result from ``|c| * d * t``.
     """
-    if c == 0:
-        raise ValueError("position factor c must be nonzero")
-    if d <= 0:
-        raise ValueError(f"height factor d must be > 0, got {d}")
-    if eps is not None and eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    _check_factors(c, d)
+    if eps is not None:
+        _check_positive("eps", eps)
     _check_time(t, path.horizon)
     k = _active_segments(t, path.n, path.n_segments)
     if k == 0:

@@ -102,6 +102,18 @@ def donsker_rescale(path: WalkPath, n: int) -> ScaledPath:
     return ScaledPath(n=n, values=values, positions=path.positions)
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Reject ``value`` unless it is finite and > 0 (NaN included)."""
+    _check_finite(name, value)
+    if value <= 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+
+
 def _check_time(t: float, horizon: float) -> None:
     if not 0.0 <= t <= horizon * (1 + 1e-12):
         raise ValueError(f"t must be in [0, {horizon}], got {t}")
@@ -116,19 +128,25 @@ def band_local_time(path: ScaledPath, y: float, t: float, eps: float) -> float:
     """Exact band-occupation estimate of the local time at level ``y``.
 
     Each linear segment is clipped against the band ``(y-eps, y+eps)`` in
-    closed form, so the result carries no quadrature error.
+    closed form, so the result carries no quadrature error.  Only segments
+    that meet the open band are clipped: any other segment clips to an exact
+    zero, because float subtraction and division round monotonically.  The
+    contributions are summed over all active segments in their original
+    positions, which keeps numpy's pairwise summation order.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    _check_positive("eps", eps)
     _check_time(t, path.horizon)
     k = _active_segments(t, path.n, path.n_segments)
     if k == 0:
         return 0.0
     x0 = path.values[:k]
     x1 = path.values[1 : k + 1]
-    # Fraction of each segment that lies before t (1 except for the last).
-    s_max = np.minimum(1.0, t * path.n - np.arange(k))
     lo, hi = y - eps, y + eps
+    seg = np.flatnonzero((np.minimum(x0, x1) < hi) & (np.maximum(x0, x1) > lo))
+    x0 = x0[seg]
+    x1 = x1[seg]
+    # Fraction of each segment that lies before t (1 except for the last).
+    s_max = np.minimum(1.0, t * path.n - seg)
     d = x1 - x0
     flat = d == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -137,12 +155,14 @@ def band_local_time(path: ScaledPath, y: float, t: float, eps: float) -> float:
     s1 = np.minimum(sa, sb)
     s2 = np.maximum(sa, sb)
     if flat.any():
-        inside = (x0 > lo) & (x0 < hi)
-        s1 = np.where(flat, np.where(inside, 0.0, np.inf), s1)
-        s2 = np.where(flat, np.where(inside, 1.0, np.inf), s2)
+        # A flat segment that meets the open band lies inside it throughout.
+        s1 = np.where(flat, 0.0, s1)
+        s2 = np.where(flat, 1.0, s2)
     s1 = np.clip(s1, 0.0, s_max)
     s2 = np.clip(s2, 0.0, s_max)
-    measure = float(np.maximum(s2 - s1, 0.0).sum()) / path.n
+    lengths = np.zeros(k)
+    lengths[seg] = np.maximum(s2 - s1, 0.0)
+    measure = float(lengths.sum()) / path.n
     return measure / (2.0 * eps)
 
 
@@ -246,8 +266,7 @@ def local_time_profile(
                 raise ValueError("band estimator on a WalkPath requires n")
             path = donsker_rescale(path, n)
         eps = default_band_width(path.n) if eps is None else eps
-        if eps <= 0:
-            raise ValueError(f"eps must be > 0, got {eps}")
+        _check_positive("eps", eps)
         _check_time(t, path.horizon)
         values = _band_profile(path, t, levels, eps)
         return LocalTimeProfile(

@@ -20,8 +20,8 @@ import numpy as np
 from scipy.special import chdtrc, ndtri
 
 from . import oracle
-from .curve import Window, coverage_check, wall_area
-from .scaling import default_band_width, donsker_rescale, local_time_profile
+from .curve import Window, _check_factors, coverage_check, wall_area
+from .scaling import _check_positive, default_band_width, donsker_rescale, local_time_profile
 from .walk import simulate_walk
 
 __all__ = [
@@ -299,8 +299,10 @@ class ExperimentConfig:
         # alpha = 1 is allowed: no p-value exceeds it, so it forces a fail verdict.
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not self.t > 0.0:
-            raise ValueError(f"t must be > 0, got {self.t}")
+        _check_positive("t", self.t)
+        if self.eps is not None:
+            _check_positive("eps", self.eps)
+        _check_factors(self.c, self.d)
 
     def resolved_eps(self) -> float:
         return default_band_width(self.n) if self.eps is None else self.eps

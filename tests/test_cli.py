@@ -4,9 +4,11 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from wallcurve.cli import _fmt, main
+from wallcurve import cli
+from wallcurve.cli import _fmt, _table, main
 
 
 def run_cli(capsys, *args):
@@ -182,3 +184,48 @@ def test_verify_config_out_of_range_exits_two(capsys, option, value, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("profile", "--eps", "nan"), "eps must be finite, got nan"),
+        (("profile", "--eps", "inf"), "eps must be finite, got inf"),
+        (("profile", "--t", "inf"), "t must be finite, got inf"),
+        (("curve", "--estimator", "band", "--eps", "nan"), "eps must be finite, got nan"),
+        (("curve", "--c", "nan"), "position factor c must be finite, got nan"),
+        (("curve", "--c", "inf"), "position factor c must be finite, got inf"),
+        (("curve", "--d", "nan"), "height factor d must be finite, got nan"),
+        (("verify", "area", "--t", "inf"), "t must be finite, got inf"),
+        (("verify", "density", "--eps", "nan"), "eps must be finite, got nan"),
+    ],
+)
+def test_non_finite_options_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {message}" in err
+
+
+def test_json_table_matches_json_module(monkeypatch):
+    # Records cross block boundaries; keys are out of order in the header.
+    monkeypatch.setattr(cli, "_BLOCK", 3)
+    columns = (
+        np.array([3, -1, 0, 7, 2, 5, 9], dtype=np.int64),
+        np.array([0.1, -0.0, 1e-300, 2.0**-52, 1 / 3, 1e22, 123456.789]),
+        np.arange(7, dtype=np.uint16),
+    )
+    header = ["x", "h", "a"]
+    for stride in (1, 2, 7):
+        records = [
+            dict(zip(header, row)) for row in zip(*(c[::stride].tolist() for c in columns))
+        ]
+        expected = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        assert "".join(_table("json", header, columns, stride)) == expected
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_json_table_rejects_non_finite_values(bad):
+    columns = (np.arange(3), np.array([0.0, bad, 1.0]))
+    with pytest.raises(ValueError, match="non-finite values in column 'h'"):
+        "".join(_table("json", ["k", "h"], columns))

@@ -28,6 +28,16 @@ GOLDEN = {
         ("curve", "--estimator", "band"),
         "0681171f783b057d698792c1aed247f8bc5c948d7109dbc94fe5bf4d7fca623b",
     ),
+    # The two extremes of the band at n = 10**4: narrower than one lattice
+    # step (0.01), and wider than the whole path, so every segment meets it.
+    "curve-band-narrow": (
+        ("curve", "--estimator", "band", "--eps", "0.005"),
+        "f567273deef8ee15c853d96fb32ff390d54323293b6bffb74e2cc7499e355b8a",
+    ),
+    "curve-band-wide": (
+        ("curve", "--estimator", "band", "--eps", "5"),
+        "5f4c5efcd94858b5f8f0a86345d5924a8ab2c49a8f72baba8698424ec709158f",
+    ),
     "profile-band": (
         ("profile", "--estimator", "band"),
         "f8cc00defb951f130fa4257f60dc2f3fb24e4c9d7d4f64750240299faf15f1f6",

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallcurve import (
     ScaledPath,
@@ -15,7 +17,7 @@ from wallcurve import (
     sample_identity_pair,
     simulate_walk,
 )
-from wallcurve.scaling import snap_level
+from wallcurve.scaling import _active_segments, snap_level
 
 
 def test_rescale_identity_scale():
@@ -228,3 +230,86 @@ def test_rescaled_counts_match_half_normal_construction():
     ref = sample_identity_pair(1.0, 77, 2500, "levy", 500)[:, 1]
     _, p = ks_two_sample(occ, ref)
     assert p > 0.001
+
+
+def _band_local_time_reference(path, y, t, eps):
+    """Reference for ``band_local_time``: the clip formulas on every active segment."""
+    k = _active_segments(t, path.n, path.n_segments)
+    if k == 0:
+        return 0.0
+    x0 = path.values[:k]
+    x1 = path.values[1 : k + 1]
+    s_max = np.minimum(1.0, t * path.n - np.arange(k))
+    lo, hi = y - eps, y + eps
+    d = x1 - x0
+    flat = d == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sa = (lo - x0) / d
+        sb = (hi - x0) / d
+    s1 = np.minimum(sa, sb)
+    s2 = np.maximum(sa, sb)
+    if flat.any():
+        inside = (x0 > lo) & (x0 < hi)
+        s1 = np.where(flat, np.where(inside, 0.0, np.inf), s1)
+        s2 = np.where(flat, np.where(inside, 1.0, np.inf), s2)
+    s1 = np.clip(s1, 0.0, s_max)
+    s2 = np.clip(s2, 0.0, s_max)
+    measure = float(np.maximum(s2 - s1, 0.0).sum()) / path.n
+    return measure / (2.0 * eps)
+
+
+@st.composite
+def walk_paths(draw):
+    """A rescaled walk; its lattice step in space is ``n**-0.5``."""
+    n_steps = draw(st.integers(1, 400))
+    n = draw(st.integers(1, 2 * n_steps))
+    spath = donsker_rescale(simulate_walk(n_steps, draw(st.integers(0, 2**32))), n)
+    return spath, 1.0 / np.sqrt(n)
+
+
+@st.composite
+def flat_paths(draw):
+    """Knots on a coarse grid, so that repeated values make flat segments."""
+    values = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=60))
+    step = draw(st.sampled_from([0.5, 0.1, 1 / 3]))
+    return ScaledPath(n=draw(st.integers(1, 20)), values=np.array(values) * step), step
+
+
+@st.composite
+def band_cases(draw, paths):
+    """A path, a band half-width, a level and a time for ``band_local_time``.
+
+    ``eps`` runs from a quarter of one lattice step to wider than the path;
+    ``y`` sits on a knot, at a knot plus or minus ``eps``, or anywhere near
+    the path; ``t`` sits on a knot time or between two.
+    """
+    spath, step = draw(paths)
+    width = float(np.ptp(spath.values)) + step
+    eps = step * 2.0 ** draw(st.floats(-2.0, np.log2(width / step) + 1.0))
+    knot = float(spath.values[draw(st.integers(0, spath.n_segments))])
+    y = draw(
+        st.sampled_from([knot, knot - eps, knot + eps])
+        | st.floats(float(spath.values.min()) - 2 * eps, float(spath.values.max()) + 2 * eps)
+    )
+    k = draw(st.integers(0, spath.n_segments))
+    frac = 0.0 if k == spath.n_segments else draw(st.sampled_from([0.0]) | st.floats(0.0, 1.0))
+    return spath, y, (k + frac) / spath.n, eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=band_cases(walk_paths()) | band_cases(flat_paths()))
+def test_band_local_time_equals_full_length_reference(case):
+    spath, y, t, eps = case
+    assert band_local_time(spath, y, t, eps) == _band_local_time_reference(spath, y, t, eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=band_cases(walk_paths()) | band_cases(flat_paths()), later=st.floats(0.0, 1.0))
+def test_band_local_time_never_decreases_in_time(case, later):
+    spath, y, t, eps = case
+    t2 = t + later * (spath.horizon - t)
+    before = band_local_time(spath, y, t, eps)
+    after = band_local_time(spath, y, t2, eps)
+    # A longer time sums more segments, so numpy's pairwise summation tree
+    # can change shape; the order holds up to a few ulps of the total.
+    assert after >= before * (1 - 1e-13)
