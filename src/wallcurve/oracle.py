@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scaling import _check_positive
 from .walk import stream, walk_sites
 
 __all__ = [
@@ -56,11 +57,6 @@ _WALK_DOMAIN = {"lhs": 0, "reversal": 1, "levy": 2, "signed": 2}
 _SIGN_DOMAIN = 3
 
 
-def _check_t(t: float) -> None:
-    if t <= 0:
-        raise ValueError(f"t must be > 0, got {t}")
-
-
 def joint_density(y, s, t: float):
     """Joint density of (position, wall height) at time ``t``.
 
@@ -68,19 +64,20 @@ def joint_density(y, s, t: float):
     it equals |y| * exp(-y**2/(2t)) / sqrt(2*pi*t**3), vanishing only at
     the origin.
     """
-    _check_t(t)
-    y = np.asarray(y, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
+    _check_positive("t", t)
+    # The integrand of every GOF cell: without np.asarray, Python floats stay
+    # on numpy's cheap scalar path, and one ufunc reduction is the cheapest
+    # sign check that takes scalars, lists and arrays alike.
+    if np.minimum.reduce(s, axis=None, initial=0.0) < 0:
         raise ValueError("height s must be >= 0")
     r = np.abs(y) + s
     out = r / np.sqrt(2.0 * np.pi * t**3) * np.exp(-(r**2) / (2.0 * t))
-    return out if out.ndim else float(out)
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def marginal_level(y, t: float):
     """Position marginal: centered Gaussian with variance ``t``."""
-    _check_t(t)
+    _check_positive("t", t)
     y = np.asarray(y, dtype=float)
     out = np.exp(-(y**2) / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
     return out if out.ndim else float(out)
@@ -91,7 +88,7 @@ def marginal_height(s, t: float):
 
     Takes its maximum sqrt(2/(pi*t)) at the s = 0 boundary.
     """
-    _check_t(t)
+    _check_positive("t", t)
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise ValueError("height s must be >= 0")
@@ -101,7 +98,7 @@ def marginal_height(s, t: float):
 
 def mean_height(t: float) -> float:
     """Expected wall height at the walker's position, ``sqrt(2*t/pi)``."""
-    _check_t(t)
+    _check_positive("t", t)
     return float(np.sqrt(2.0 * t / np.pi))
 
 
@@ -111,7 +108,7 @@ def reflection_tail(x: float, s: float, t: float) -> float:
     By reflecting the path at its first passage of ``s``, this equals the
     plain Gaussian density evaluated at ``2*s - x``.
     """
-    _check_t(t)
+    _check_positive("t", t)
     if s <= 0:
         raise ValueError(f"s must be > 0, got {s}")
     if x >= s:
@@ -126,7 +123,7 @@ class DensityModel:
     t: float
 
     def __post_init__(self) -> None:
-        _check_t(self.t)
+        _check_positive("t", self.t)
 
     def density(self, y, s):
         return joint_density(y, s, self.t)
@@ -143,7 +140,7 @@ def sample_exact(t: float, seed: int, size: int) -> np.ndarray:
     3-d Gaussian norm plus one uniform inverts the law exactly.  Used as
     the synthetic null for calibrating the statistical harness.
     """
-    _check_t(t)
+    _check_positive("t", t)
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     rng = stream(seed, 0, domain=0)
@@ -177,7 +174,7 @@ def sample_identity_pair(
     the ``levy`` walk.  ``signs`` overrides the fair-sign stream (test
     hook: all +1 reproduces ``levy`` exactly).
     """
-    _check_t(t)
+    _check_positive("t", t)
     if n < 1:
         raise ValueError(f"scale parameter n must be >= 1, got {n}")
     if replicates < 1:

@@ -21,6 +21,7 @@ statistical suite runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +104,7 @@ def donsker_rescale(path: WalkPath, n: int) -> ScaledPath:
 
 
 def _check_finite(name: str, value: float) -> None:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, frexp
 from typing import Any
 
 import numpy as np
@@ -79,21 +79,31 @@ def _ks_exact_pvalue(n1: int, n2: int, d_int: int) -> float:
     Counts monotone lattice paths from (0, 0) to (n1, n2) that keep
     |i*n2 - j*n1| < d_int throughout; under the null (no ties) all
     C(n1+n2, n1) orderings are equally likely.
+
+    The lattice is symmetric in the two samples, so rows run over the
+    smaller one.  In row i the allowed j form one interval, where each count
+    is the running sum of the row above; outside it the count is 0.  Counts
+    are float64, and each row is rescaled by a power of two, which is exact,
+    so only the running sums round.
     """
     if d_int <= 0:
         return 1.0
-    f = [0] * (n2 + 1)
-    f[0] = 1
-    for j in range(1, n2 + 1):
-        f[j] = f[j - 1] if j * n1 < d_int else 0
-    for i in range(1, n1 + 1):
-        g = [0] * (n2 + 1)
-        g[0] = f[0] if i * n2 < d_int else 0
-        for j in range(1, n2 + 1):
-            if abs(i * n2 - j * n1) < d_int:
-                g[j] = g[j - 1] + f[j]
-        f = g
-    inside = Fraction(f[n2], comb(n1 + n2, n1))
+    n1, n2 = min(n1, n2), max(n1, n2)
+    f = np.zeros(n2 + 1)
+    f[0] = 1.0  # row -1: the one path into (0, 0)
+    exponent = 0
+    for i in range(n1 + 1):
+        lo = max(0, (i * n2 - d_int) // n1 + 1)
+        hi = min(n2, -(-(i * n2 + d_int) // n1) - 1)
+        if lo > hi:
+            return 1.0
+        f[:lo] = 0.0
+        row = f[lo : hi + 1]
+        np.cumsum(row, out=row)
+        _, e = frexp(row[-1])  # the row's largest count; e = 0 for an empty row
+        row *= 2.0**-e
+        exponent += e
+    inside = Fraction(f[n2]) * Fraction(2) ** exponent / comb(n1 + n2, n1)
     return float(1 - inside)
 
 

@@ -124,11 +124,27 @@ def walk_sites(rng: np.random.Generator, n_steps: int, start: int = 0) -> np.nda
     The one step source: each step is one fair bit drawn from ``rng`` (a
     caller-built :func:`stream`).  Continuing from the last site with the
     same generator extends the walk exactly as one longer call would.
+
+    The bits are those ``rng.integers(0, 2)`` would give: bit 31 of each
+    32-bit half of a raw 64-bit word, low half first.  Whole words are read
+    raw, two steps each (the ``uint32`` view is low half first on a
+    little-endian host).  A half-word left pending by an earlier draw, and
+    an odd last step, go through ``integers``, so the generator is left as
+    ``integers`` would leave it.
     """
     sites = np.empty(n_steps + 1, dtype=np.int64)
     sites[0] = start
-    if n_steps:
-        sites[1:] = 2 * rng.integers(0, 2, size=n_steps, dtype=np.int64) - 1
+    bits = sites[1:]
+    if n_steps and rng.bit_generator.state["has_uint32"]:
+        bits[0] = rng.integers(0, 2, dtype=np.int64)
+        bits = bits[1:]
+    words, odd = divmod(len(bits), 2)
+    bits[: 2 * words] = rng.bit_generator.random_raw(words).view(np.uint32) >> 31
+    if odd:
+        bits[-1] = rng.integers(0, 2, dtype=np.int64)
+    steps = sites[1:]
+    steps *= 2
+    steps -= 1
     return np.cumsum(sites, out=sites)
 
 

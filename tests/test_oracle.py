@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from wallcurve import (
+    DensityModel,
     joint_density,
     marginal_height,
     marginal_level,
@@ -34,6 +35,42 @@ def test_joint_density_domain_errors():
         joint_density(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         joint_density(0.0, -0.1, 1.0)
+
+
+def test_joint_density_returns_float_for_scalars_and_arrays_for_arrays():
+    assert type(joint_density(0.3, 0.4, 1.0)) is float
+    assert type(joint_density(np.float64(0.3), 1, 2)) is float
+    assert type(joint_density(np.array(0.3), np.array(0.4), 1.0)) is float
+    both = joint_density(np.array([0.3, -0.3]), np.array([0.4, 0.4]), 1.0)
+    assert isinstance(both, np.ndarray) and both.shape == (2,)
+    assert both[0] == both[1] == joint_density(0.3, 0.4, 1.0)
+    assert joint_density([0.1, 0.2, 0.3], 0.4, 1.0).shape == (3,)
+    assert joint_density(0.1, [0.2, 0.3], 1.0).shape == (2,)
+
+
+@pytest.mark.parametrize("s", [-0.1, [0.2, -0.1], np.array([0.2, -0.1]), np.array(-0.1)])
+def test_joint_density_rejects_negative_height(s):
+    with pytest.raises(ValueError, match="height s must be >= 0"):
+        joint_density(0.0, s, 1.0)
+
+
+_ORACLE_CALLS = {
+    "joint_density": lambda t: joint_density(0.1, 0.2, t),
+    "marginal_level": lambda t: marginal_level(0.1, t),
+    "marginal_height": lambda t: marginal_height(0.2, t),
+    "mean_height": mean_height,
+    "reflection_tail": lambda t: reflection_tail(0.0, 0.5, t),
+    "DensityModel": DensityModel,
+    "sample_exact": lambda t: sample_exact(t, 0, 2),
+    "sample_identity_pair": lambda t: sample_identity_pair(t, 0, 100, "lhs", replicates=2),
+}
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(_ORACLE_CALLS))
+def test_oracle_rejects_bad_time(name, t):
+    with pytest.raises(ValueError, match=r"^t must be "):
+        _ORACLE_CALLS[name](t)
 
 
 def test_joint_density_normalizes_to_one():

@@ -1,7 +1,7 @@
 """Property tests of the step source and the streaming wall."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wallcurve import OccupationField, simulate_walk, stream
@@ -28,6 +28,34 @@ def test_chained_draws_equal_one_draw(seed, n_steps, data):
         chunk = walk_sites(rng, b - a, start=int(chained[-1]))
         chained = np.concatenate([chained, chunk[1:]])
     assert np.array_equal(chained, whole)
+
+
+def _reference_walk_sites(rng, n_steps: int, start: int = 0) -> np.ndarray:
+    """The step source as first written: one ``integers`` bit per step."""
+    steps = 2 * rng.integers(0, 2, size=n_steps, dtype=np.int64) - 1
+    return np.cumsum(np.concatenate([[start], steps]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds, n_steps=step_counts, lead=st.integers(0, 5), start=st.integers(-9, 9))
+@example(seed=0, n_steps=0, lead=1, start=0)
+@example(seed=0, n_steps=1, lead=0, start=0)
+@example(seed=0, n_steps=1, lead=1, start=0)
+@example(seed=0, n_steps=2999, lead=1, start=0)
+@example(seed=0, n_steps=3000, lead=1, start=0)
+def test_walk_sites_reads_the_bits_integers_gives(seed, n_steps, lead, start):
+    # An odd ``lead`` leaves the stream mid-word, with a half-word pending.
+    rng, ref = stream(seed, 5, domain=2), stream(seed, 5, domain=2)
+    rng.integers(0, 2, size=lead)
+    ref.integers(0, 2, size=lead)
+    sites = walk_sites(rng, n_steps, start=start)
+    assert sites.dtype == np.int64
+    assert np.array_equal(sites, _reference_walk_sites(ref, n_steps, start))
+    # Compare next draws, not state dicts: ``uinteger`` is stale while no
+    # half-word is pending.  Odd sizes leave each side mid-word once more.
+    assert np.array_equal(rng.integers(0, 2, size=3), ref.integers(0, 2, size=3))
+    assert np.array_equal(rng.bit_generator.random_raw(3), ref.bit_generator.random_raw(3))
+    assert np.array_equal(rng.integers(0, 2, size=5), ref.integers(0, 2, size=5))
 
 
 @settings(max_examples=60, deadline=None)

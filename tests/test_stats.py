@@ -1,6 +1,9 @@
 """KS test, chi-square GOF, and the experiment harness."""
 
+import hashlib
+from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from wallcurve import (
 )
 from wallcurve.stats import (
     _bin_probabilities,
+    _ks_exact_pvalue,
     _kolmogorov_sf,
     _merge_small_bins,
     _pearson,
@@ -40,6 +44,24 @@ def _brute_force_ks_pvalue(a, b):
         total += 1
         hits += d_int / (n1 * n2) >= d_obs - 1e-12
     return hits / total
+
+
+def _reference_ks_exact_pvalue(n1, n2, d_int):
+    """The exact p-value as first written: integer path counts, cell by cell."""
+    if d_int <= 0:
+        return 1.0
+    f = [0] * (n2 + 1)
+    f[0] = 1
+    for j in range(1, n2 + 1):
+        f[j] = f[j - 1] if j * n1 < d_int else 0
+    for i in range(1, n1 + 1):
+        g = [0] * (n2 + 1)
+        g[0] = f[0] if i * n2 < d_int else 0
+        for j in range(1, n2 + 1):
+            if abs(i * n2 - j * n1) < d_int:
+                g[j] = g[j - 1] + f[j]
+        f = g
+    return float(1 - Fraction(f[n2], comb(n1 + n2, n1)))
 
 
 def test_ks_identical_samples():
@@ -71,6 +93,27 @@ def test_ks_exact_pvalue_matches_enumeration():
         b = rng.normal(size=n2)
         _, p = ks_two_sample(a, b)
         assert p == pytest.approx(_brute_force_ks_pvalue(a, b), abs=1e-12)
+
+
+def test_ks_exact_pvalue_matches_integer_reference():
+    cases = [(n1, n2, d) for n1 in range(1, 9) for n2 in range(1, 9) for d in range(n1 * n2 + 2)]
+    for n1, n2 in [(49, 300), (300, 49), (30, 40), (100, 100), (7, 2000)]:
+        cases += [(n1, n2, d) for d in (1, n1, n1 * n2 // 8, n1 * n2 // 3, n1 * n2 - 1)]
+    for n1, n2, d in cases:
+        assert _ks_exact_pvalue(n1, n2, d) == pytest.approx(
+            _reference_ks_exact_pvalue(n1, n2, d), abs=1e-12
+        ), (n1, n2, d)
+
+
+def test_ks_exact_pvalue_at_large_unbalanced_size():
+    # About 1e182 paths in all, far past the integers float64 holds exactly.
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=49)
+    b = rng.normal(loc=0.3, size=100_000)
+    _, p = ks_two_sample(a, b)
+    assert p == pytest.approx(ks_2samp(a, b, method="exact").pvalue, rel=1e-9)
 
 
 def test_ks_invariant_under_monotone_transform():
@@ -140,6 +183,15 @@ def test_bin_probabilities_sum_to_one():
     _, _, probs = _bin_probabilities(1.0, 12, 12)
     assert probs.sum() == pytest.approx(1.0, abs=1e-6)
     assert np.all(probs > 0)
+
+
+def test_bin_probabilities_bytes_are_pinned():
+    # The GOF cells feed every `verify density` report byte for byte, so this
+    # hash moves only with a deliberate output format change.
+    _, _, probs = _bin_probabilities(1.0, 12, 12)
+    assert hashlib.sha256(probs.tobytes()).hexdigest() == (
+        "b7268dee01005a2fd9ddb97965b05c4f70b3266180105ecacca7529199aad0cd"
+    )
 
 
 def test_bin_probabilities_match_closed_form_cell():
