@@ -145,9 +145,7 @@ def scale_trace(trace: CurveTrace, c: float, d: float) -> CurveTrace:
     )
 
 
-def wall_area(
-    path: ScaledPath, t: float, eps: float | None = None, c: float = 1.0, d: float = 1.0
-) -> float:
+def wall_area(path: ScaledPath, t: float, c: float = 1.0, d: float = 1.0) -> float:
     """Exact wall area at time ``t`` for the (c, d)-scaled curve.
 
     The band estimator's profile integrates per segment to exactly the
@@ -157,8 +155,6 @@ def wall_area(
     floating-point rounding separates the result from ``|c| * d * t``.
     """
     _check_factors(c, d)
-    if eps is not None:
-        _check_positive("eps", eps)
     _check_time(t, path.horizon)
     k = _active_segments(t, path.n, path.n_segments)
     if k == 0:

@@ -10,7 +10,8 @@ ways:
 
 * band estimator -- ``(2*eps)**-1`` times the exact Lebesgue measure of
   ``{u <= t : |path(u) - y| < eps}``, computed by clipping each linear
-  segment against the band in closed form (no quadrature anywhere);
+  segment against the band in closed form (no quadrature anywhere), or
+  for a whole level grid from the walk's lattice-edge crossing counts;
 * occupation estimator -- the rescaled visit count
   ``n**-0.5 * L(j, ceil(n*t))`` at the lattice site ``j`` nearest to
   ``y * sqrt(n)`` (ties snapped toward zero).
@@ -185,54 +186,38 @@ def occupation_local_time(path: WalkPath, n: int, y: float, t: float) -> float:
 def _band_profile(
     path: ScaledPath, t: float, levels: np.ndarray, eps: float
 ) -> np.ndarray:
-    """Band-estimator profile over a level grid via a slope-event sweep.
+    """Band-estimator profile over a level grid from lattice-edge counts.
 
-    Each segment contributes a trapezoid in the level variable (overlap of
-    the sliding band with the segment's value interval), i.e. a piecewise
-    linear function with four slope events.  All events are sorted once and
-    the piecewise-linear total is evaluated at the grid levels, which costs
-    O((k + m) log(k + m)) for k segments and m levels instead of O(k * m).
+    This relies on unit steps, so that ``values = positions/sqrt(n)``, as
+    for every path :func:`donsker_rescale` builds.  Each whole segment then
+    crosses one lattice edge in time ``1/n`` at constant speed, so the time
+    spent below a lattice coordinate is piecewise linear between sites, with
+    the edge's crossing count as its slope; the band measure is its
+    difference across the band.  A partial last segment is clipped on its
+    own; like :func:`_active_segments`, it is dropped when it covers at most
+    1e-9 of a step, the round-off of ``t = k/n``.  This costs O(k + m) for
+    k segments and m levels.  A path without positions is evaluated level
+    by level with :func:`band_local_time`.
     """
-    k = _active_segments(t, path.n, path.n_segments)
-    if k == 0:
-        return np.zeros(len(levels))
-    x0 = path.values[:k].copy()
-    x1 = path.values[1 : k + 1].copy()
-    durations = np.full(k, 1.0 / path.n)
-    last_end = k / path.n
-    if last_end > t:
-        theta = t * path.n - (k - 1)
-        x1[-1] = x0[-1] + (x1[-1] - x0[-1]) * theta
-        durations[-1] = t - (k - 1) / path.n
-    if np.any(x0 == x1):
-        # Flat segments contribute step functions, not trapezoids; fall back
-        # to direct per-level clipping (cannot occur for walk-built paths).
+    if path.positions is None:
         return np.array([band_local_time(path, y, t, eps) for y in levels])
-    m_lo = np.minimum(x0, x1)
-    m_hi = np.maximum(x0, x1)
-    weight = durations / (m_hi - m_lo)
-    pos = np.concatenate(
-        [
-            m_lo - eps,
-            np.minimum(m_lo + eps, m_hi - eps),
-            np.maximum(m_lo + eps, m_hi - eps),
-            m_hi + eps,
-        ]
-    )
-    slope = np.concatenate([weight, -weight, -weight, weight])
-    order = np.argsort(pos, kind="stable")
-    pos = pos[order]
-    slope = slope[order]
-    cum_slope = np.cumsum(slope)
-    gaps = np.diff(pos)
-    knot_values = np.concatenate([[0.0], np.cumsum(cum_slope[:-1] * gaps)])
-    idx = np.searchsorted(pos, levels, side="right") - 1
-    values = np.zeros(len(levels))
-    hit = (idx >= 0) & (levels >= m_lo.min() - eps) & (levels <= m_hi.max() + eps)
-    values[hit] = knot_values[idx[hit]] + cum_slope[idx[hit]] * (
-        levels[hit] - pos[idx[hit]]
-    )
-    return np.maximum(values, 0.0) / (2.0 * eps)
+    pos = path.positions
+    steps = min(t * path.n, path.n_segments)
+    full = math.floor(steps)
+    edges = np.minimum(pos[:full], pos[1 : full + 1])
+    lo = pos[: full + 1].min()
+    below = np.concatenate([[0.0], np.cumsum(np.bincount(edges - lo))])
+    sites = np.arange(lo, lo + len(below))
+    root_n = np.sqrt(float(path.n))
+    a = (levels - eps) * root_n
+    b = (levels + eps) * root_n
+    measure = np.interp(b, sites, below) - np.interp(a, sites, below)
+    theta = steps - full
+    if theta > 1e-9:
+        x0, x1 = pos[full], pos[full + 1]
+        start = min(x0, x0 + theta * (x1 - x0))
+        measure += np.clip(b - start, 0.0, theta) - np.clip(a - start, 0.0, theta)
+    return measure / (path.n * 2.0 * eps)
 
 
 def _occupation_profile(

@@ -17,7 +17,7 @@ from math import comb, frexp
 from typing import Any
 
 import numpy as np
-from scipy.special import chdtrc, ndtri
+from scipy.special import chdtrc, kolmogorov, ndtri
 
 from . import oracle
 from .curve import Window, _check_factors, coverage_check, wall_area
@@ -25,6 +25,7 @@ from .scaling import _check_positive, default_band_width, donsker_rescale, local
 from .walk import simulate_walk
 
 __all__ = [
+    "FORMAT_VERSION",
     "TestReport",
     "ExperimentConfig",
     "EXPERIMENTS",
@@ -43,6 +44,9 @@ EXPERIMENTS = (
     "coverage",
 )
 
+# Written into every report's params; bumped whenever report bytes change.
+FORMAT_VERSION = 2
+
 _EXACT_KS_LIMIT = 10_000
 _ASYMPTOTIC_KS_MIN = 50  # per-sample size from which the Kolmogorov tail holds
 _EXPECTED_FLOOR = 5.0
@@ -51,26 +55,6 @@ _EDGE_TRUNCATION = 12.0  # outermost bin edge, in units of sqrt(t)
 
 # ---------------------------------------------------------------------------
 # Kolmogorov-Smirnov
-
-
-def _kolmogorov_sf(x: float, terms: int = 100) -> float:
-    """Tail of the Kolmogorov distribution, 2*sum (-1)^(j-1) exp(-2 j^2 x^2).
-
-    The alternating series is truncated after ``terms`` terms (it converges
-    much sooner for any x of practical size).  Accurate for effective
-    sample sizes of 50 or more per sample.
-    """
-    if x <= 0.01:
-        return 1.0
-    total = 0.0
-    sign = 1.0
-    for j in range(1, terms + 1):
-        term = np.exp(-2.0 * j * j * x * x)
-        total += sign * term
-        if term <= 1e-18 * abs(total):
-            break
-        sign = -sign
-    return float(min(max(2.0 * total, 0.0), 1.0))
 
 
 def _ks_exact_pvalue(n1: int, n2: int, d_int: int) -> float:
@@ -130,7 +114,7 @@ def ks_two_sample(a, b) -> tuple[float, float]:
         p_value = _ks_exact_pvalue(n1, n2, d_int)
     else:
         en = n1 * n2 / (n1 + n2)
-        p_value = _kolmogorov_sf(np.sqrt(en) * statistic)
+        p_value = float(kolmogorov(np.sqrt(en) * statistic))
     return statistic, p_value
 
 
@@ -330,6 +314,7 @@ def _params(config: ExperimentConfig, **extra: Any) -> dict[str, Any]:
         "t": config.t,
         "eps": config.resolved_eps(),
         "alpha": config.alpha,
+        "format_version": FORMAT_VERSION,
     }
     base.update(extra)
     return base
@@ -354,7 +339,7 @@ def _run_area(config: ExperimentConfig) -> TestReport:
     n_steps = max(1, int(np.ceil(config.n * config.t)))
     path = simulate_walk(n_steps, config.seed)
     spath = donsker_rescale(path, config.n)
-    area = wall_area(spath, config.t, config.resolved_eps(), c=config.c, d=config.d)
+    area = wall_area(spath, config.t, c=config.c, d=config.d)
     target = abs(config.c) * config.d * config.t
     statistic = abs(area - target)
     tol = _AREA_RTOL * target

@@ -52,12 +52,11 @@ def fixed_time_samples():
 def test_criterion_1_exact_area_law():
     start = time.monotonic()
     n = 10**6
-    eps = n**-0.25
     worst = 0.0
     for seed in range(20):
         spath = donsker_rescale(simulate_walk(n, seed=seed), n)
         for t in (0.25, 0.5, 1.0):
-            worst = max(worst, abs(wall_area(spath, t, eps) - t) / t)
+            worst = max(worst, abs(wall_area(spath, t) - t) / t)
     elapsed = time.monotonic() - start
     ok = worst <= 1e-9 and elapsed <= 60
     _report(1, ok, f"max relative area error {worst:.2e} over 20 seeds x 3 times, {elapsed:.1f}s")
@@ -70,7 +69,7 @@ def test_criterion_2_scaled_area_law():
     for c, d in [(2.0, 3.0), (-1.0, 0.5)]:
         for t in (0.5, 1.0):
             target = abs(c) * d * t
-            err = abs(wall_area(spath, t, n**-0.25, c=c, d=d) - target) / target
+            err = abs(wall_area(spath, t, c=c, d=d) - target) / target
             worst = max(worst, err)
     _report(2, worst <= 1e-9, f"max relative scaled-area error {worst:.2e}")
 

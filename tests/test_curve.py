@@ -86,7 +86,7 @@ def test_wall_area_matches_elapsed_time():
     n = 10**5
     spath = donsker_rescale(simulate_walk(n, seed=6), n)
     for t in (0.25, 0.5, 1.0):
-        area = wall_area(spath, t, eps=n**-0.25)
+        area = wall_area(spath, t)
         assert abs(area - t) <= 10 * np.finfo(float).eps * n
 
 
@@ -114,8 +114,6 @@ def test_wall_area_argument_errors():
         wall_area(spath, 0.5, c=0.0)
     with pytest.raises(ValueError):
         wall_area(spath, 0.5, d=-1.0)
-    with pytest.raises(ValueError):
-        wall_area(spath, 0.5, eps=0.0)
 
 
 def test_fill_order_clean_for_built_traces():

@@ -1,9 +1,9 @@
 """Golden outputs: SHA-256 of CLI files at one seed.
 
 These pin the random-stream format and every reduction built on it, byte
-for byte.  A deliberate change of stream format updates the hashes in the
-same change that bumps the stream version; any other change must leave
-them as they are.
+for byte.  A deliberate change of output bytes updates the hashes in the
+same change that bumps ``wallcurve.stats.FORMAT_VERSION``; any other
+change must leave them as they are.
 """
 
 import hashlib
@@ -11,6 +11,7 @@ import hashlib
 import pytest
 
 from wallcurve.cli import main
+from wallcurve.stats import FORMAT_VERSION
 
 SEED = "11"
 SMALL_VERIFY = ("--n", "1000", "--replicates", "500")
@@ -40,7 +41,7 @@ GOLDEN = {
     ),
     "profile-band": (
         ("profile", "--estimator", "band"),
-        "f8cc00defb951f130fa4257f60dc2f3fb24e4c9d7d4f64750240299faf15f1f6",
+        "2a3735e8cca7b74173400d3dab26f85cedcfd972e3b641624a3394a0811e1971",
     ),
     "profile-occupation": (
         ("profile", "--estimator", "occupation"),
@@ -56,38 +57,40 @@ GOLDEN = {
     ),
     "profile-json": (
         ("profile", "--format", "json"),
-        "08531914d2586439d957e921cfde0ffc4b514f5b52ae64934dad179c46c184b3",
+        "ff316508246fc012550c9447d82bd9c8e8b4bf60e0cbab67a1eb4847d3e95c37",
     ),
     "verify-density": (
         ("verify", "density", *SMALL_VERIFY),
-        "0c8d5bdd168b9cea4ed51a318ce2888bd623f0213c2940808e0d6d20ea03d287",
+        "a2910442de6a0a82dba9da5013b2340b787de30e452caf68d0f4477c19d4eab9",
     ),
     "verify-reversal": (
         ("verify", "reversal", *SMALL_VERIFY),
-        "1494ec92ca110ddcb9a096dc81eaf0608f9f2729cb4c0e5aa481a4b413e64b68",
+        "440d29ac21d3e4176470b9535c55fcb031a0b3ee5e274d509735d7aa143f9e8a",
     ),
     "verify-levy": (
         ("verify", "levy", *SMALL_VERIFY),
-        "ee19221ae7b7e50da6182391dba768a6d387577df8811944002f54330faaab69",
+        "12e0d515bc150dafb3ddf506b3054d78a0e5f2a76f3330c64e299ee0461d4cfc",
     ),
     "verify-signed": (
         ("verify", "signed", *SMALL_VERIFY),
-        "433036782a516ee0605048273afbbf408c487441d9a19c0f4b32741eab3286cb",
+        "cfe098032feaba2f31dc4005693f4d7ead4d6e0eb5dfa00e13f279a4cdace816",
     ),
     "verify-knight": (
         ("verify", "knight", *SMALL_VERIFY),
-        "ee202903472d84ea2ffd13660b7d70f4a1254a2b702894c93f7891359fc92be5",
+        "6edae263349530a51bb055f30810ec0dc23d5dfffc1cf96d5803ab0fd2c73861",
     ),
     # 200000 steps stream through three chunks, the last one partial.
     "verify-coverage": (
         ("verify", "coverage", "--n", "10000", "--budget", "200000"),
-        "fd6b50520220343be432fab1183390668d47f8c322f4169db9b53627e69dbec3",
+        "7cac3a46d3005c36c71ce21079e10b66ab7d7b1377b74ea858b38b8e74d9418b",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_output_matches_golden_hash(tmp_path, name):
+    # The hashes above were recorded at this format version.
+    assert FORMAT_VERSION == 2
     argv, digest = GOLDEN[name]
     out = tmp_path / name
     main([*argv, "--seed", SEED, "-o", str(out)])

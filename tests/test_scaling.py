@@ -164,15 +164,26 @@ def test_occupation_local_time_snaps_ties_toward_zero():
     assert occupation_local_time(path, n, 0.75, 0.75) == pytest.approx(2 / 2)
 
 
-def test_band_profile_sweep_matches_direct_clipping():
-    # Same estimator via two algorithms: slope-event sweep vs per-level clip.
+def test_band_profile_matches_direct_clipping():
+    # Same estimator via two algorithms: lattice-edge counts vs per-level clip.
     for seed, t in [(11, 0.9), (12, 1.0), (13, 0.37)]:
         spath = donsker_rescale(simulate_walk(2000, seed=seed), 2000)
         eps = default_band_width(2000)
         levels = np.linspace(-1.5, 1.5, 77)
-        sweep = local_time_profile(spath, t, levels, eps, "band").values
+        profile = local_time_profile(spath, t, levels, eps, "band").values
         direct = np.array([band_local_time(spath, y, t, eps) for y in levels])
-        assert np.abs(sweep - direct).max() < 1e-12
+        assert np.abs(profile - direct).max() < 1e-12
+
+
+def test_band_profile_without_positions_clips_per_level():
+    # Flat segments and no lattice sites: the profile is the per-level clip.
+    spath = ScaledPath(n=4, values=np.array([0.0, 0.0, 0.5, 0.5, 0.5, -0.25, -0.25]))
+    levels = np.linspace(-0.5, 0.75, 11)
+    for t in (0.0, 0.1, 0.5, 1.3, 1.5):
+        for eps in (0.05, 0.25, 2.0):
+            profile = local_time_profile(spath, t, levels, eps, "band").values
+            direct = np.array([band_local_time(spath, y, t, eps) for y in levels])
+            assert np.all(profile == direct)
 
 
 def test_band_profile_integrates_to_elapsed_time():
@@ -313,3 +324,35 @@ def test_band_local_time_never_decreases_in_time(case, later):
     # A longer time sums more segments, so numpy's pairwise summation tree
     # can change shape; the order holds up to a few ulps of the total.
     assert after >= before * (1 - 1e-13)
+
+
+@st.composite
+def profile_cases(draw):
+    """A rescaled walk, a time, a band half-width and a level grid.
+
+    ``t`` lies below ``1/n``, on a knot or between two knots; ``eps`` runs
+    from a tenth of one lattice step to wider than the path; the levels are
+    the lattice sites in and around the path and those sites plus or minus
+    ``eps``.
+    """
+    n_steps = draw(st.integers(1, 300))
+    n = draw(st.integers(1, 400))
+    spath = donsker_rescale(simulate_walk(n_steps, draw(st.integers(0, 2**32))), n)
+    k = draw(st.integers(0, n_steps))
+    frac = draw(st.sampled_from([0.0]) | st.floats(0.0, 1.0)) if k < n_steps else 0.0
+    t = draw(st.sampled_from([(k + frac) / n]) | st.floats(0.0, 1.0 / n))
+    step = 1.0 / np.sqrt(n)
+    width = float(np.ptp(spath.values)) + step
+    eps = step * 2.0 ** draw(st.floats(np.log2(0.1), np.log2(width / step) + 1.0))
+    sites = np.arange(spath.positions.min() - 2, spath.positions.max() + 3) * step
+    levels = np.unique(np.concatenate([sites, sites - eps, sites + eps]))
+    return spath, t, eps, levels
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=profile_cases())
+def test_band_profile_equals_per_level_clipping(case):
+    spath, t, eps, levels = case
+    profile = local_time_profile(spath, t, levels, eps, "band").values
+    direct = np.array([band_local_time(spath, y, t, eps) for y in levels])
+    assert np.abs(profile - direct).max() <= 1e-12 * np.abs(profile).max()

@@ -21,7 +21,6 @@ from wallcurve import (
 from wallcurve.stats import (
     _bin_probabilities,
     _ks_exact_pvalue,
-    _kolmogorov_sf,
     _merge_small_bins,
     _pearson,
     estimator_agreement,
@@ -126,9 +125,13 @@ def test_ks_invariant_under_monotone_transform():
     assert p2 == p
 
 
-def test_ks_asymptotic_tail_matches_reference():
-    for x in (0.3, 0.5, 0.8, 1.0, 1.5, 2.0):
-        assert _kolmogorov_sf(x) == pytest.approx(float(kolmogorov(x)), abs=1e-10)
+def test_ks_identical_shapes_give_p_one():
+    # Shifting every point by half a gap gives D = 1/3000, sqrt(en) * D = 0.013,
+    # where the Kolmogorov tail is 1 to double precision.
+    a = np.arange(3000.0)
+    stat, p = ks_two_sample(a, a + 0.5)
+    assert stat == pytest.approx(1 / 3000)
+    assert p == 1.0
 
 
 def test_ks_large_samples_use_asymptotics():
