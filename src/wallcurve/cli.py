@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .curve import Window, build_trace, scale_trace
-from .scaling import _check_positive, local_time_profile
+from .scaling import _check_positive, _steps_for, local_time_profile
 from .stats import ExperimentConfig, run_experiment
 from .walk import discrete_brick_trace, simulate_walk
 
@@ -129,7 +129,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     _check_positive("t", args.t)
-    n_steps = args.steps or max(1, int(np.ceil(args.n * args.t)))
+    n_steps = args.steps or max(1, _steps_for(args.t, args.n))
     path = simulate_walk(n_steps, args.seed)
     levels = np.linspace(args.ymin, args.ymax, args.levels)
     profile = local_time_profile(

@@ -226,18 +226,12 @@ def coverage_check(
             & (h >= 0.0)
             & (h < window.h_hi)
         )
-        if not inside.any():
-            return
         ix = ((x[inside] - window.x_lo) / delta).astype(np.int64)
         ih = (h[inside] / delta).astype(np.int64)
         np.clip(ix, 0, nx - 1, out=ix)
         np.clip(ih, 0, nh - 1, out=ih)
-        flat = ix * nh + ih
-        uniq, first_idx = np.unique(flat, return_index=True)
-        tsel = times[inside][first_idx]
-        view = first_cover.reshape(-1)
-        new = np.isnan(view[uniq])
-        view[uniq[new]] = tsel[new]
+        # Times only grow and fmin skips NaN, so each cell keeps its first time.
+        np.fmin.at(first_cover.reshape(-1), ix * nh + ih, times[inside])
 
     # Initial block at the origin, before any step.
     pos = np.zeros(1, dtype=np.int64)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scaling import _check_positive
+from .scaling import _check_positive, _steps_for
 from .walk import stream, walk_sites
 
 __all__ = [
@@ -181,7 +181,7 @@ def sample_identity_pair(
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if side not in IDENTITY_SIDES:
         raise ValueError(f"unknown side {side!r}, expected one of {IDENTITY_SIDES}")
-    m = max(1, int(np.ceil(t * n - 1e-9)))
+    m = max(1, _steps_for(t, n))
     domain = _WALK_DOMAIN[side]
     out = np.empty((replicates, 2))
     # One replicate at a time, reduced at once: memory stays O(m).

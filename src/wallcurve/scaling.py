@@ -9,9 +9,9 @@ Local time at a level ``y`` up to time ``t`` is estimated two independent
 ways:
 
 * band estimator -- ``(2*eps)**-1`` times the exact Lebesgue measure of
-  ``{u <= t : |path(u) - y| < eps}``, computed by clipping each linear
-  segment against the band in closed form (no quadrature anywhere), or
-  for a whole level grid from the walk's lattice-edge crossing counts;
+  ``{u <= t : |path(u) - y| < eps}``, read in closed form off the walk's
+  lattice-edge crossing counts, for one level or a whole grid (no
+  quadrature anywhere);
 * occupation estimator -- the rescaled visit count
   ``n**-0.5 * L(j, ceil(n*t))`` at the lattice site ``j`` nearest to
   ``y * sqrt(n)`` (ties snapped toward zero).
@@ -52,19 +52,31 @@ def default_band_width(n: int) -> float:
 
 @dataclass(frozen=True)
 class ScaledPath:
-    """Piecewise-linear path with knots ``(k/n, positions[k]/sqrt(n))``.
+    """A walk rescaled to the piecewise-linear path with knots
+    ``(k/n, positions[k]/sqrt(n))``.
 
-    ``positions`` keeps the source lattice sites so the occupation
-    estimator can be evaluated from the same object.
+    ``positions`` are the walk's lattice sites, so every step is +1 or -1;
+    both local-time estimators read them.
     """
 
     n: int
-    values: np.ndarray
-    positions: np.ndarray | None = None
+    positions: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"scale parameter n must be >= 1, got {self.n}")
+        if len(self.positions) < 2:
+            raise ValueError("path must have at least one step")
+        if not np.all(np.abs(np.diff(self.positions)) == 1):
+            raise ValueError("path steps must be +1 or -1")
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.positions / np.sqrt(float(self.n))
 
     @property
     def n_segments(self) -> int:
-        return len(self.values) - 1
+        return len(self.positions) - 1
 
     @property
     def horizon(self) -> float:
@@ -72,7 +84,7 @@ class ScaledPath:
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(len(self.values)) / self.n
+        return np.arange(len(self.positions)) / self.n
 
     def knots(self) -> list[tuple[float, float]]:
         return list(zip(self.times.tolist(), self.values.tolist()))
@@ -96,12 +108,7 @@ class LocalTimeProfile:
 
 def donsker_rescale(path: WalkPath, n: int) -> ScaledPath:
     """Rescale a walk by ``1/n`` in time and ``n**-0.5`` in space."""
-    if n < 1:
-        raise ValueError(f"scale parameter n must be >= 1, got {n}")
-    if path.n_steps < 1:
-        raise ValueError("path must have at least one step")
-    values = path.positions / np.sqrt(float(n))
-    return ScaledPath(n=n, values=values, positions=path.positions)
+    return ScaledPath(n=n, positions=path.positions)
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -121,51 +128,26 @@ def _check_time(t: float, horizon: float) -> None:
         raise ValueError(f"t must be in [0, {horizon}], got {t}")
 
 
+def _steps_for(t: float, n: int) -> int:
+    """Walk steps needed to reach time ``t`` at scale ``n``: ``ceil(t*n)``,
+    less the round-off of ``t = k/n`` (up to 1e-9 of a step)."""
+    return math.ceil(t * n - 1e-9)
+
+
 def _active_segments(t: float, n: int, n_segments: int) -> int:
-    """Number of segments intersecting [0, t] (robust to t = k/n round-off)."""
-    return min(n_segments, int(np.ceil(t * n - 1e-9)))
+    """Number of segments intersecting [0, t], for ``t >= 0``."""
+    return min(n_segments, _steps_for(t, n))
 
 
 def band_local_time(path: ScaledPath, y: float, t: float, eps: float) -> float:
-    """Exact band-occupation estimate of the local time at level ``y``.
+    """Band-occupation estimate of the local time at level ``y``.
 
-    Each linear segment is clipped against the band ``(y-eps, y+eps)`` in
-    closed form, so the result carries no quadrature error.  Only segments
-    that meet the open band are clipped: any other segment clips to an exact
-    zero, because float subtraction and division round monotonically.  The
-    contributions are summed over all active segments in their original
-    positions, which keeps numpy's pairwise summation order.
+    This is the one-level profile of :func:`_band_profile`, so point
+    estimates and profiles agree exactly.
     """
     _check_positive("eps", eps)
     _check_time(t, path.horizon)
-    k = _active_segments(t, path.n, path.n_segments)
-    if k == 0:
-        return 0.0
-    x0 = path.values[:k]
-    x1 = path.values[1 : k + 1]
-    lo, hi = y - eps, y + eps
-    seg = np.flatnonzero((np.minimum(x0, x1) < hi) & (np.maximum(x0, x1) > lo))
-    x0 = x0[seg]
-    x1 = x1[seg]
-    # Fraction of each segment that lies before t (1 except for the last).
-    s_max = np.minimum(1.0, t * path.n - seg)
-    d = x1 - x0
-    flat = d == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sa = (lo - x0) / d
-        sb = (hi - x0) / d
-    s1 = np.minimum(sa, sb)
-    s2 = np.maximum(sa, sb)
-    if flat.any():
-        # A flat segment that meets the open band lies inside it throughout.
-        s1 = np.where(flat, 0.0, s1)
-        s2 = np.where(flat, 1.0, s2)
-    s1 = np.clip(s1, 0.0, s_max)
-    s2 = np.clip(s2, 0.0, s_max)
-    lengths = np.zeros(k)
-    lengths[seg] = np.maximum(s2 - s1, 0.0)
-    measure = float(lengths.sum()) / path.n
-    return measure / (2.0 * eps)
+    return float(_band_profile(path, t, np.array([y], dtype=float), eps)[0])
 
 
 def snap_level(y, n: int):
@@ -188,22 +170,18 @@ def _band_profile(
 ) -> np.ndarray:
     """Band-estimator profile over a level grid from lattice-edge counts.
 
-    This relies on unit steps, so that ``values = positions/sqrt(n)``, as
-    for every path :func:`donsker_rescale` builds.  Each whole segment then
-    crosses one lattice edge in time ``1/n`` at constant speed, so the time
-    spent below a lattice coordinate is piecewise linear between sites, with
-    the edge's crossing count as its slope; the band measure is its
-    difference across the band.  A partial last segment is clipped on its
-    own; like :func:`_active_segments`, it is dropped when it covers at most
-    1e-9 of a step, the round-off of ``t = k/n``.  This costs O(k + m) for
-    k segments and m levels.  A path without positions is evaluated level
-    by level with :func:`band_local_time`.
+    Every step is +1 or -1, so each whole segment crosses one lattice edge
+    in time ``1/n`` at constant speed: the time spent below a lattice
+    coordinate is piecewise linear between sites, with the edge's crossing
+    count as its slope, and the band measure is its difference across the
+    band.  A partial last segment is clipped on its own; it exists only when
+    :func:`_active_segments` counts one more segment than ``floor(t*n)``, so
+    a sliver within the round-off of ``t = k/n`` is dropped.  This costs
+    O(k + m) for k segments and m levels.
     """
-    if path.positions is None:
-        return np.array([band_local_time(path, y, t, eps) for y in levels])
     pos = path.positions
-    steps = min(t * path.n, path.n_segments)
-    full = math.floor(steps)
+    k = _active_segments(t, path.n, path.n_segments)
+    full = min(k, math.floor(t * path.n))
     edges = np.minimum(pos[:full], pos[1 : full + 1])
     lo = pos[: full + 1].min()
     below = np.concatenate([[0.0], np.cumsum(np.bincount(edges - lo))])
@@ -212,8 +190,8 @@ def _band_profile(
     a = (levels - eps) * root_n
     b = (levels + eps) * root_n
     measure = np.interp(b, sites, below) - np.interp(a, sites, below)
-    theta = steps - full
-    if theta > 1e-9:
+    if k > full:
+        theta = t * path.n - full
         x0, x1 = pos[full], pos[full + 1]
         start = min(x0, x0 + theta * (x1 - x0))
         measure += np.clip(b - start, 0.0, theta) - np.clip(a - start, 0.0, theta)
@@ -223,7 +201,7 @@ def _band_profile(
 def _occupation_profile(
     positions: np.ndarray, n: int, t: float, levels: np.ndarray
 ) -> np.ndarray:
-    m = min(len(positions) - 1, max(0, int(np.ceil(t * n - 1e-9))))
+    m = _active_segments(t, n, len(positions) - 1)
     wall = OccupationField().drop(positions[: m + 1])[0]
     idx = snap_level(levels, n) - wall.min_site
     valid = (idx >= 0) & (idx < len(wall.counts))
@@ -260,8 +238,6 @@ def local_time_profile(
         )
     if estimator == "occupation":
         if isinstance(path, ScaledPath):
-            if path.positions is None:
-                raise ValueError("ScaledPath lacks source positions")
             positions, scale = path.positions, path.n
         else:
             if n is None:

@@ -21,7 +21,13 @@ from scipy.special import chdtrc, kolmogorov, ndtri
 
 from . import oracle
 from .curve import Window, _check_factors, coverage_check, wall_area
-from .scaling import _check_positive, default_band_width, donsker_rescale, local_time_profile
+from .scaling import (
+    _check_positive,
+    _steps_for,
+    default_band_width,
+    donsker_rescale,
+    local_time_profile,
+)
 from .walk import simulate_walk
 
 __all__ = [
@@ -45,7 +51,7 @@ EXPERIMENTS = (
 )
 
 # Written into every report's params; bumped whenever report bytes change.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _EXACT_KS_LIMIT = 10_000
 _ASYMPTOTIC_KS_MIN = 50  # per-sample size from which the Kolmogorov tail holds
@@ -336,7 +342,7 @@ def _ks_suite(a: np.ndarray, b: np.ndarray) -> dict[str, tuple[float, float]]:
 
 
 def _run_area(config: ExperimentConfig) -> TestReport:
-    n_steps = max(1, int(np.ceil(config.n * config.t)))
+    n_steps = max(1, _steps_for(config.t, config.n))
     path = simulate_walk(n_steps, config.seed)
     spath = donsker_rescale(path, config.n)
     area = wall_area(spath, config.t, c=config.c, d=config.d)
@@ -425,7 +431,7 @@ def estimator_agreement(
         levels = np.linspace(-np.sqrt(t), np.sqrt(t), 101)
     root_n = np.sqrt(float(n))
     levels = np.unique(np.rint(np.asarray(levels) * root_n)) / root_n
-    path = simulate_walk(max(1, int(np.ceil(n * t))), seed)
+    path = simulate_walk(max(1, _steps_for(t, n)), seed)
     eps = 0.5 / root_n
     band = local_time_profile(path, t, levels, eps, "band", n=n)
     occ = local_time_profile(path, t, levels, None, "occupation", n=n)

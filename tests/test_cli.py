@@ -100,6 +100,13 @@ def test_verify_area_passes_with_exit_zero(capsys, tmp_path):
     assert report["params"]["alpha"] == 0.001
 
 
+def test_verify_area_walks_ceil_of_n_t_steps(tmp_path):
+    # 100 * 0.07 rounds to 7.000000000000001, which is still 7 steps.
+    out = tmp_path / "report.json"
+    assert main(["verify", "area", "--n", "100", "--t", "0.07", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["n_samples"] == 7
+
+
 def test_verify_json_round_trip(tmp_path):
     out = tmp_path / "report.json"
     main(["verify", "area", "--n", "1000", "-o", str(out)])

@@ -201,6 +201,31 @@ def test_coverage_first_cover_times_stable_under_extension():
     )
 
 
+def test_coverage_first_cover_times_match_point_loop():
+    # 70000 steps run past the first 2**16-step chunk; heights up to 3 are
+    # out of reach, so the whole budget is walked and cells are revisited.
+    seed, n, budget, delta = 5, 10**4, 70_000, 0.1
+    window = Window(-0.5, 0.5, 3.0)
+    report = coverage_check(seed, window, delta, budget, n)
+    nx, nh = report.first_cover_time.shape
+    expected = np.full((nx, nh), np.nan)
+    counts = {}
+    root_n = np.sqrt(float(n))
+    for k, site in enumerate(simulate_walk(budget, seed).positions.tolist()):
+        counts[site] = counts.get(site, 0) + 1
+        x, h = site / root_n, counts[site] / root_n
+        if window.x_lo <= x < window.x_hi and 0.0 <= h < window.h_hi:
+            ix = min(int((x - window.x_lo) / delta), nx - 1)
+            ih = min(int(h / delta), nh - 1)
+            if np.isnan(expected[ix, ih]):
+                expected[ix, ih] = k / n
+    assert report.steps_used == budget
+    assert np.array_equal(report.first_cover_time, expected, equal_nan=True)
+    first_chunk_end = (1 << 16) / n
+    assert (expected < first_chunk_end).any() and (expected > first_chunk_end).any()
+    assert np.isnan(expected).any()
+
+
 def test_height_jumps_shrink_with_scale():
     # Continuity proxy: the coarse trace has larger height jumps than the
     # fine trace on matched seeds.

@@ -27,17 +27,17 @@ GOLDEN = {
     ),
     "curve-band": (
         ("curve", "--estimator", "band"),
-        "0681171f783b057d698792c1aed247f8bc5c948d7109dbc94fe5bf4d7fca623b",
+        "204263b1595043ce60db8797cf462f28cd720b80a3ea22135f02eacf96860219",
     ),
     # The two extremes of the band at n = 10**4: narrower than one lattice
     # step (0.01), and wider than the whole path, so every segment meets it.
     "curve-band-narrow": (
         ("curve", "--estimator", "band", "--eps", "0.005"),
-        "f567273deef8ee15c853d96fb32ff390d54323293b6bffb74e2cc7499e355b8a",
+        "18969c690bf740dba5432f8e0703f69f4825c04d8e3cbfff71a05053dfc1efcc",
     ),
     "curve-band-wide": (
         ("curve", "--estimator", "band", "--eps", "5"),
-        "5f4c5efcd94858b5f8f0a86345d5924a8ab2c49a8f72baba8698424ec709158f",
+        "d9f4737afca14dc32abfb01affa86405b076f48f702ea4c84d56213f5ca7075b",
     ),
     "profile-band": (
         ("profile", "--estimator", "band"),
@@ -61,28 +61,28 @@ GOLDEN = {
     ),
     "verify-density": (
         ("verify", "density", *SMALL_VERIFY),
-        "a2910442de6a0a82dba9da5013b2340b787de30e452caf68d0f4477c19d4eab9",
+        "392fc70c9410e8ad2951dd51818e3ca563c7d90328dbd45d6620177a54a7ae21",
     ),
     "verify-reversal": (
         ("verify", "reversal", *SMALL_VERIFY),
-        "440d29ac21d3e4176470b9535c55fcb031a0b3ee5e274d509735d7aa143f9e8a",
+        "5e518f7d6691ba19576f4b2a8a76a599d5248ade2b7d5658151c269cf92f872c",
     ),
     "verify-levy": (
         ("verify", "levy", *SMALL_VERIFY),
-        "12e0d515bc150dafb3ddf506b3054d78a0e5f2a76f3330c64e299ee0461d4cfc",
+        "8e87f8c10180465816c3805540e89f3ff9046f0d6a5115deb7dbc336c6b102c8",
     ),
     "verify-signed": (
         ("verify", "signed", *SMALL_VERIFY),
-        "cfe098032feaba2f31dc4005693f4d7ead4d6e0eb5dfa00e13f279a4cdace816",
+        "033791267c69cee332244fe4aee8eef7202250b2752fe37b75c6bf144c750b8c",
     ),
     "verify-knight": (
         ("verify", "knight", *SMALL_VERIFY),
-        "6edae263349530a51bb055f30810ec0dc23d5dfffc1cf96d5803ab0fd2c73861",
+        "19e306d1dc00ed5272308d13e92022b58a9f4822706b4db61227916b651e5fe8",
     ),
     # 200000 steps stream through three chunks, the last one partial.
     "verify-coverage": (
         ("verify", "coverage", "--n", "10000", "--budget", "200000"),
-        "7cac3a46d3005c36c71ce21079e10b66ab7d7b1377b74ea858b38b8e74d9418b",
+        "507b46ce6d04d601207a4bdaccb8981464f0546c41297360c1680ed145f064da",
     ),
 }
 
@@ -90,7 +90,7 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_output_matches_golden_hash(tmp_path, name):
     # The hashes above were recorded at this format version.
-    assert FORMAT_VERSION == 2
+    assert FORMAT_VERSION == 3
     argv, digest = GOLDEN[name]
     out = tmp_path / name
     main([*argv, "--seed", SEED, "-o", str(out)])
