@@ -20,8 +20,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .curve import Window, build_trace, scale_trace
-from .scaling import _check_positive, _steps_for, local_time_profile
-from .stats import ExperimentConfig, run_experiment
+from .scaling import _check_positive, _steps_for, donsker_rescale, local_time_profile
+from .stats import EXPERIMENTS, ExperimentConfig, run_experiment
 from .walk import discrete_brick_trace, simulate_walk
 
 DEFAULT_SEED = 0
@@ -31,15 +31,7 @@ DEFAULT_REPLICATES = 2000
 DEFAULT_ALPHA = 0.001
 MAX_DEFAULT_ROWS = 100_000
 
-_VERIFY_NAMES = {
-    "area": "area",
-    "density": "density",
-    "reversal": "identity-reversal",
-    "levy": "identity-levy",
-    "signed": "identity-signed",
-    "knight": "knight",
-    "coverage": "coverage",
-}
+_VERIFY_NAMES = {name.removeprefix("identity-"): name for name in EXPERIMENTS}
 
 # Table cell format per numpy dtype kind; CSV rows are built from it.  JSON
 # writes finite floats with ``repr``, so its records use ``%r`` instead.
@@ -129,11 +121,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     _check_positive("t", args.t)
-    n_steps = args.steps or max(1, _steps_for(args.t, args.n))
-    path = simulate_walk(n_steps, args.seed)
+    path = simulate_walk(max(1, _steps_for(args.t, args.n)), args.seed)
     levels = np.linspace(args.ymin, args.ymax, args.levels)
     profile = local_time_profile(
-        path, args.t, levels, eps=args.eps, estimator=args.estimator, n=args.n
+        donsker_rescale(path, args.n), args.t, levels, eps=args.eps, estimator=args.estimator
     )
     columns = (profile.levels, profile.values)
     _write(args.output, _table(args.format, ["y", "local_time"], columns))
@@ -192,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("profile", help="local-time profile at a fixed time")
-    p.add_argument("--steps", type=int, default=None)
     p.add_argument("--n", type=int, default=DEFAULT_N)
     p.add_argument("--t", type=float, default=DEFAULT_T)
     p.add_argument("--eps", type=float, default=None)

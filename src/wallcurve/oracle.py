@@ -128,9 +128,6 @@ class DensityModel:
     def density(self, y, s):
         return joint_density(y, s, self.t)
 
-    def sample(self, seed: int, size: int) -> np.ndarray:
-        return sample_exact(self.t, seed, size)
-
 
 def sample_exact(t: float, seed: int, size: int) -> np.ndarray:
     """Draw (y, s) pairs exactly from the fixed-time law.

@@ -55,14 +55,19 @@ class ScaledPath:
     """A walk rescaled to the piecewise-linear path with knots
     ``(k/n, positions[k]/sqrt(n))``.
 
-    ``positions`` are the walk's lattice sites, so every step is +1 or -1;
-    both local-time estimators read them.
+    ``positions`` are the walk's lattice sites, a signed-integer array in
+    which every step is +1 or -1; both local-time estimators read them.
     """
 
     n: int
     positions: np.ndarray
 
     def __post_init__(self) -> None:
+        if not (
+            isinstance(self.positions, np.ndarray)
+            and np.issubdtype(self.positions.dtype, np.signedinteger)
+        ):
+            raise ValueError("path positions must be a numpy array of signed integers")
         if self.n < 1:
             raise ValueError(f"scale parameter n must be >= 1, got {self.n}")
         if len(self.positions) < 2:
@@ -102,8 +107,8 @@ class LocalTimeProfile:
     levels: np.ndarray
     values: np.ndarray
     estimator_tag: str
+    n: int
     eps: float | None = None
-    n: int | None = None
 
 
 def donsker_rescale(path: WalkPath, n: int) -> ScaledPath:
@@ -157,12 +162,10 @@ def snap_level(y, n: int):
     return sites if sites.ndim else int(sites)
 
 
-def occupation_local_time(path: WalkPath, n: int, y: float, t: float) -> float:
+def occupation_local_time(path: ScaledPath, y: float, t: float) -> float:
     """Rescaled visit count ``n**-0.5 * L(site nearest y*sqrt(n), ceil(n*t))``."""
-    if n < 1:
-        raise ValueError(f"scale parameter n must be >= 1, got {n}")
-    _check_time(t, path.n_steps / n)
-    return _occupation_profile(path.positions, n, t, np.array([y]))[0]
+    _check_time(t, path.horizon)
+    return float(_occupation_profile(path, t, np.array([y], dtype=float))[0])
 
 
 def _band_profile(
@@ -198,25 +201,22 @@ def _band_profile(
     return measure / (path.n * 2.0 * eps)
 
 
-def _occupation_profile(
-    positions: np.ndarray, n: int, t: float, levels: np.ndarray
-) -> np.ndarray:
-    m = _active_segments(t, n, len(positions) - 1)
-    wall = OccupationField().drop(positions[: m + 1])[0]
-    idx = snap_level(levels, n) - wall.min_site
+def _occupation_profile(path: ScaledPath, t: float, levels: np.ndarray) -> np.ndarray:
+    m = _active_segments(t, path.n, path.n_segments)
+    wall = OccupationField().drop(path.positions[: m + 1])[0]
+    idx = snap_level(levels, path.n) - wall.min_site
     valid = (idx >= 0) & (idx < len(wall.counts))
     values = np.zeros(len(levels))
-    values[valid] = wall.counts[idx[valid]] / np.sqrt(float(n))
+    values[valid] = wall.counts[idx[valid]] / np.sqrt(float(path.n))
     return values
 
 
 def local_time_profile(
-    path: ScaledPath | WalkPath,
+    path: ScaledPath,
     t: float,
     levels,
     eps: float | None = None,
     estimator: str = "band",
-    n: int | None = None,
 ) -> LocalTimeProfile:
     """Local-time profile over a strictly increasing level grid."""
     levels = np.asarray(levels, dtype=float)
@@ -224,28 +224,16 @@ def local_time_profile(
         raise ValueError("level grid must be non-empty")
     if levels.size > 1 and not np.all(np.diff(levels) > 0):
         raise ValueError("level grid must be strictly increasing")
+    _check_time(t, path.horizon)
     if estimator == "band":
-        if isinstance(path, WalkPath):
-            if n is None:
-                raise ValueError("band estimator on a WalkPath requires n")
-            path = donsker_rescale(path, n)
         eps = default_band_width(path.n) if eps is None else eps
         _check_positive("eps", eps)
-        _check_time(t, path.horizon)
         values = _band_profile(path, t, levels, eps)
-        return LocalTimeProfile(
-            t=t, levels=levels, values=values, estimator_tag="band", eps=eps, n=path.n
-        )
-    if estimator == "occupation":
-        if isinstance(path, ScaledPath):
-            positions, scale = path.positions, path.n
-        else:
-            if n is None:
-                raise ValueError("occupation estimator on a WalkPath requires n")
-            positions, scale = path.positions, n
-        _check_time(t, (len(positions) - 1) / scale)
-        values = _occupation_profile(positions, scale, t, levels)
-        return LocalTimeProfile(
-            t=t, levels=levels, values=values, estimator_tag="occupation", eps=None, n=scale
-        )
-    raise ValueError(f"unknown estimator {estimator!r}")
+    elif estimator == "occupation":
+        eps = None
+        values = _occupation_profile(path, t, levels)
+    else:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    return LocalTimeProfile(
+        t=t, levels=levels, values=values, estimator_tag=estimator, eps=eps, n=path.n
+    )

@@ -40,16 +40,6 @@ __all__ = [
     "run_experiment",
 ]
 
-EXPERIMENTS = (
-    "area",
-    "density",
-    "identity-reversal",
-    "identity-levy",
-    "identity-signed",
-    "knight",
-    "coverage",
-)
-
 # Written into every report's params; bumped whenever report bytes change.
 FORMAT_VERSION = 3
 
@@ -431,10 +421,10 @@ def estimator_agreement(
         levels = np.linspace(-np.sqrt(t), np.sqrt(t), 101)
     root_n = np.sqrt(float(n))
     levels = np.unique(np.rint(np.asarray(levels) * root_n)) / root_n
-    path = simulate_walk(max(1, _steps_for(t, n)), seed)
+    path = donsker_rescale(simulate_walk(max(1, _steps_for(t, n)), seed), n)
     eps = 0.5 / root_n
-    band = local_time_profile(path, t, levels, eps, "band", n=n)
-    occ = local_time_profile(path, t, levels, None, "occupation", n=n)
+    band = local_time_profile(path, t, levels, eps, "band")
+    occ = local_time_profile(path, t, levels, None, "occupation")
     return float(np.abs(band.values - occ.values).max())
 
 
@@ -497,18 +487,21 @@ def _run_coverage(config: ExperimentConfig) -> TestReport:
     )
 
 
+_RUNNERS = {
+    "area": _run_area,
+    "density": _run_density,
+    **dict.fromkeys(_IDENTITY_PAIRS, _run_identity),
+    "knight": _run_knight,
+    "coverage": _run_coverage,
+}
+EXPERIMENTS = tuple(_RUNNERS)
+
+
 def run_experiment(config: ExperimentConfig) -> TestReport:
     """Run one named experiment; the report is a pure function of config."""
-    if config.experiment == "area":
-        return _run_area(config)
-    if config.experiment == "density":
-        return _run_density(config)
-    if config.experiment in _IDENTITY_PAIRS:
-        return _run_identity(config)
-    if config.experiment == "knight":
-        return _run_knight(config)
-    if config.experiment == "coverage":
-        return _run_coverage(config)
-    raise ValueError(
-        f"unknown experiment {config.experiment!r}, expected one of {EXPERIMENTS}"
-    )
+    runner = _RUNNERS.get(config.experiment)
+    if runner is None:
+        raise ValueError(
+            f"unknown experiment {config.experiment!r}, expected one of {EXPERIMENTS}"
+        )
+    return runner(config)

@@ -127,10 +127,10 @@ def test_criterion_6_count_rescaling():
     # comparison is dominated by the sqrt(width) spatial roughness of local
     # time, so it sits far above the site-resolved gap reported above.
     n = 10**6
-    path = simulate_walk(n, seed=SEED)
+    path = donsker_rescale(simulate_walk(n, seed=SEED), n)
     levels = np.linspace(-1.0, 1.0, 101)
-    band = local_time_profile(path, 1.0, levels, default_band_width(n), "band", n=n)
-    occ_prof = local_time_profile(path, 1.0, levels, None, "occupation", n=n)
+    band = local_time_profile(path, 1.0, levels, default_band_width(n), "band")
+    occ_prof = local_time_profile(path, 1.0, levels, None, "occupation")
     rough = np.abs(band.values - occ_prof.values).max()
     print(
         f"  [info] nearest-site vs quarter-power band gap {rough:.3f} "

@@ -78,7 +78,7 @@ def test_curve_strided_row_count(capsys):
 def test_profile_emits_levels(capsys):
     code, out, _ = run_cli(
         capsys,
-        "profile", "--steps", "400", "--n", "400", "--t", "0.5",
+        "profile", "--n", "400", "--t", "0.5",
         "--ymin", "-1", "--ymax", "1", "--levels", "11",
     )
     assert code == 0

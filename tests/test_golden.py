@@ -7,9 +7,11 @@ change must leave them as they are.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
+import wallcurve
 from wallcurve.cli import main
 from wallcurve.stats import FORMAT_VERSION
 
@@ -95,3 +97,10 @@ def test_cli_output_matches_golden_hash(tmp_path, name):
     out = tmp_path / name
     main([*argv, "--seed", SEED, "-o", str(out)])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert wallcurve.__version__ == tomllib.load(f)["project"]["version"]

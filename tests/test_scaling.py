@@ -13,11 +13,12 @@ from wallcurve import (
     donsker_rescale,
     ks_two_sample,
     local_time_profile,
+    occupation_field,
     occupation_local_time,
     sample_identity_pair,
     simulate_walk,
 )
-from wallcurve.scaling import _active_segments, snap_level
+from wallcurve.scaling import _active_segments, _steps_for, snap_level
 
 
 def test_rescale_identity_scale():
@@ -62,6 +63,12 @@ def test_band_local_time_flat_path():
         ScaledPath(n=1, positions=np.array([0]))
 
 
+@pytest.mark.parametrize("positions", [np.array([0.5, 1.5, 0.5]), [0, 1]])
+def test_scaled_path_rejects_non_integer_array_positions(positions):
+    with pytest.raises(ValueError, match="numpy array of signed integers"):
+        ScaledPath(n=1, positions=positions)
+
+
 def _one_step_path():
     return donsker_rescale(WalkPath(seed=0, n_steps=1, positions=np.array([0, 1])), 1)
 
@@ -96,24 +103,24 @@ def test_snap_level_ties_toward_zero():
 
 
 def test_occupation_local_time_initial_block():
-    path = simulate_walk(100, seed=1)
-    assert occupation_local_time(path, 100, 0.0, 0.0) == pytest.approx(0.1)
+    path = donsker_rescale(simulate_walk(100, seed=1), 100)
+    assert occupation_local_time(path, 0.0, 0.0) == pytest.approx(0.1)
 
 
 def test_occupation_local_time_hand_case():
-    path = WalkPath(seed=0, n_steps=3, positions=np.array([0, 1, 0, -1]))
-    assert occupation_local_time(path, 4, 0.0, 0.75) == pytest.approx(1.0)
+    path = ScaledPath(n=4, positions=np.array([0, 1, 0, -1]))
+    assert occupation_local_time(path, 0.0, 0.75) == pytest.approx(1.0)
 
 
 def test_occupation_local_time_unvisited_level():
-    path = WalkPath(seed=0, n_steps=3, positions=np.array([0, 1, 0, -1]))
-    assert occupation_local_time(path, 4, 25.0, 0.75) == 0.0
+    path = ScaledPath(n=4, positions=np.array([0, 1, 0, -1]))
+    assert occupation_local_time(path, 25.0, 0.75) == 0.0
 
 
 def test_occupation_local_time_bounds():
-    path = WalkPath(seed=0, n_steps=3, positions=np.array([0, 1, 0, -1]))
+    path = ScaledPath(n=4, positions=np.array([0, 1, 0, -1]))
     with pytest.raises(ValueError):
-        occupation_local_time(path, 4, 0.0, 1.0)
+        occupation_local_time(path, 0.0, 1.0)
 
 
 def test_profile_grid_validation():
@@ -127,13 +134,12 @@ def test_profile_grid_validation():
 
 
 def test_profile_at_time_zero():
-    path = simulate_walk(100, seed=6)
+    spath = donsker_rescale(simulate_walk(100, seed=6), 100)
     levels = np.linspace(-1, 1, 21)
-    band = local_time_profile(path, 0.0, levels, estimator="band", n=100)
+    band = local_time_profile(spath, 0.0, levels, estimator="band")
     assert np.all(band.values == 0.0)
-    spath = donsker_rescale(path, 100)
     assert all(band_local_time(spath, y, 0.0, band.eps) == 0.0 for y in levels)
-    occ = local_time_profile(path, 0.0, levels, estimator="occupation", n=100)
+    occ = local_time_profile(spath, 0.0, levels, estimator="occupation")
     near_zero = np.abs(levels * 10) <= 0.5
     assert np.allclose(occ.values[near_zero], 0.1)
     assert np.all(occ.values[~near_zero] == 0.0)
@@ -168,14 +174,13 @@ def test_band_local_time_matches_dense_sampling_oracle():
 
 
 def test_occupation_local_time_snaps_ties_toward_zero():
-    path = WalkPath(seed=0, n_steps=3, positions=np.array([0, 1, 2, 1]))
-    n = 4  # sqrt(n) = 2
+    path = ScaledPath(n=4, positions=np.array([0, 1, 2, 1]))  # sqrt(n) = 2
     # y = 0.25 has lattice coordinate 0.5: ties resolve to site 0 (2 visits
     # counting the initial block would be site 0's; site 1 has 2 visits too,
     # so probe y = 0.75 -> coordinate 1.5 -> site 1).
-    assert occupation_local_time(path, n, 0.25, 0.75) == pytest.approx(1 / 2)
-    assert occupation_local_time(path, n, -0.25, 0.75) == pytest.approx(1 / 2)
-    assert occupation_local_time(path, n, 0.75, 0.75) == pytest.approx(2 / 2)
+    assert occupation_local_time(path, 0.25, 0.75) == pytest.approx(1 / 2)
+    assert occupation_local_time(path, -0.25, 0.75) == pytest.approx(1 / 2)
+    assert occupation_local_time(path, 0.75, 0.75) == pytest.approx(2 / 2)
 
 
 def test_band_profile_matches_direct_clipping():
@@ -215,36 +220,36 @@ def test_band_profile_integrates_to_elapsed_time():
 def test_occupation_profile_mass_identity():
     # Summing site counts over the lattice gives (m + 1) / n exactly.
     n = 2000
-    path = simulate_walk(n, seed=11)
+    path = donsker_rescale(simulate_walk(n, seed=11), n)
     sites = np.arange(path.positions.min(), path.positions.max() + 1)
     levels = sites / np.sqrt(n)
-    prof = local_time_profile(path, 1.0, levels, estimator="occupation", n=n)
+    prof = local_time_profile(path, 1.0, levels, estimator="occupation")
     mass = prof.values.sum() / np.sqrt(n)
     assert mass == pytest.approx((n + 1) / n, rel=1e-12)
 
 
 def test_profile_monotone_in_time_per_level():
-    path = simulate_walk(800, seed=14)
+    path = donsker_rescale(simulate_walk(800, seed=14), 800)
     levels = np.linspace(-1, 1, 31)
     eps = default_band_width(800)
     prev_band = np.zeros_like(levels)
     prev_occ = np.zeros_like(levels)
     for t in (0.2, 0.5, 0.8, 1.0):
-        band = local_time_profile(path, t, levels, eps, "band", n=800).values
-        occ = local_time_profile(path, t, levels, None, "occupation", n=800).values
+        band = local_time_profile(path, t, levels, eps, "band").values
+        occ = local_time_profile(path, t, levels, None, "occupation").values
         assert np.all(band >= prev_band - 1e-12)
         assert np.all(occ >= prev_occ)
         prev_band, prev_occ = band, occ
 
 
 def test_profile_mirror_symmetry():
-    path = simulate_walk(600, seed=15)
-    mirrored = WalkPath(seed=15, n_steps=600, positions=-path.positions)
+    path = donsker_rescale(simulate_walk(600, seed=15), 600)
+    mirrored = ScaledPath(n=600, positions=-path.positions)
     levels = np.linspace(-1.2, 1.2, 49)  # symmetric grid
     eps = default_band_width(600)
     for est in ("band", "occupation"):
-        fwd = local_time_profile(path, 1.0, levels, eps, est, n=600).values
-        rev = local_time_profile(mirrored, 1.0, levels, eps, est, n=600).values
+        fwd = local_time_profile(path, 1.0, levels, eps, est).values
+        rev = local_time_profile(mirrored, 1.0, levels, eps, est).values
         assert np.allclose(fwd, rev[::-1], atol=1e-12)
 
 
@@ -359,3 +364,16 @@ def test_band_profile_equals_per_level_clipping(case):
     assert np.all(profile == points)
     direct = np.array([_band_local_time_reference(spath, y, t, eps) for y in levels])
     assert np.abs(profile - direct).max() <= 1e-12 * np.abs(profile).max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=profile_cases())
+def test_occupation_profile_equals_point_counts(case):
+    spath, t, _, levels = case
+    profile = local_time_profile(spath, t, levels, estimator="occupation").values
+    points = np.array([occupation_local_time(spath, y, t) for y in levels])
+    assert np.all(profile == points)
+    walk = WalkPath(seed=0, n_steps=spath.n_segments, positions=spath.positions)
+    blocks = occupation_field(walk, _steps_for(t, spath.n)).as_dict()
+    counts = [blocks.get(site, 0) for site in snap_level(levels, spath.n).tolist()]
+    assert np.all(profile == np.array(counts) / np.sqrt(float(spath.n)))
