@@ -18,7 +18,6 @@ from .curve import (
     wall_area,
 )
 from .oracle import (
-    DensityModel,
     joint_density,
     marginal_height,
     marginal_level,
@@ -47,7 +46,6 @@ from .stats import (
 from .walk import (
     BlockTrace,
     OccupationField,
-    WalkPath,
     discrete_brick_trace,
     occupation_field,
     simulate_walk,
@@ -60,14 +58,12 @@ __all__ = [
     "BlockTrace",
     "CoverageReport",
     "CurveTrace",
-    "DensityModel",
     "EXPERIMENTS",
     "ExperimentConfig",
     "LocalTimeProfile",
     "OccupationField",
     "ScaledPath",
     "TestReport",
-    "WalkPath",
     "Window",
     "band_local_time",
     "build_trace",

@@ -99,8 +99,7 @@ def _default_stride(n_steps: int) -> int:
 
 def cmd_walk(args: argparse.Namespace) -> int:
     _check_stride(args.stride)
-    path = simulate_walk(args.steps, args.seed)
-    trace = discrete_brick_trace(path)
+    trace = discrete_brick_trace(simulate_walk(args.steps, args.seed))
     # Full resolution by default: one row per placed block.
     columns = (trace.steps, trace.sites, trace.heights)
     _write(args.output, _table(args.format, ["k", "site", "height"], columns, args.stride or 1))
@@ -109,8 +108,8 @@ def cmd_walk(args: argparse.Namespace) -> int:
 
 def cmd_curve(args: argparse.Namespace) -> int:
     _check_stride(args.stride)
-    path = simulate_walk(args.steps, args.seed)
-    trace = build_trace(path, args.n, estimator=args.estimator, eps=args.eps)
+    path = donsker_rescale(simulate_walk(args.steps, args.seed), args.n)
+    trace = build_trace(path, estimator=args.estimator, eps=args.eps)
     if args.c != 1.0 or args.d != 1.0:
         trace = scale_trace(trace, args.c, args.d)
     stride = args.stride or _default_stride(len(trace) - 1)

@@ -25,9 +25,8 @@ from .scaling import (
     _check_time,
     band_local_time,
     default_band_width,
-    donsker_rescale,
 )
-from .walk import OccupationField, WalkPath, stream, walk_sites
+from .walk import OccupationField, stream, walk_sites
 
 __all__ = [
     "CurveTrace",
@@ -85,38 +84,35 @@ class CoverageReport:
 
 
 def build_trace(
-    path: WalkPath,
-    n: int,
+    path: ScaledPath,
     estimator: str = "occupation",
     eps: float | None = None,
     subsample: int = 129,
 ) -> CurveTrace:
-    """Trace the curve along a walk.
+    """Trace the curve along a rescaled walk, at the path's scale ``n``.
 
     The occupation estimator emits one point per step (the height is the
     running visit count at the current site, rescaled); the band estimator
     is slower and is evaluated at ``subsample`` evenly strided steps for
     cross-validation.
     """
-    if n < 1:
-        raise ValueError(f"scale parameter n must be >= 1, got {n}")
+    n, positions = path.n, path.positions
     root_n = np.sqrt(float(n))
     if estimator == "occupation":
-        times = np.arange(path.n_steps + 1) / n
-        levels = path.positions / root_n
-        heights = OccupationField().drop(path.positions)[1] / root_n
+        times = np.arange(path.n_segments + 1) / n
+        levels = positions / root_n
+        heights = OccupationField().drop(positions)[1] / root_n
         return CurveTrace(
             times=times, levels=levels, heights=heights, n=n, estimator_tag="occupation"
         )
     if estimator == "band":
         eps = default_band_width(n) if eps is None else eps
-        spath = donsker_rescale(path, n)
-        count = min(path.n_steps + 1, max(2, subsample))
-        ks = np.unique(np.linspace(0, path.n_steps, count).astype(np.int64))
+        count = min(path.n_segments + 1, max(2, subsample))
+        ks = np.unique(np.linspace(0, path.n_segments, count).astype(np.int64))
         times = ks / n
-        levels = path.positions[ks] / root_n
+        levels = positions[ks] / root_n
         heights = np.array(
-            [band_local_time(spath, x, t, eps) for x, t in zip(levels, times)]
+            [band_local_time(path, x, t, eps) for x, t in zip(levels, times)]
         )
         return CurveTrace(
             times=times, levels=levels, heights=heights, n=n, estimator_tag="band"

@@ -30,15 +30,12 @@ finite-difference replay of the reflection-principle derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .scaling import _check_positive, _steps_for
 from .walk import stream, walk_sites
 
 __all__ = [
-    "DensityModel",
     "joint_density",
     "marginal_level",
     "marginal_height",
@@ -116,19 +113,6 @@ def reflection_tail(x: float, s: float, t: float) -> float:
     return float(np.exp(-((2.0 * s - x) ** 2) / (2.0 * t)) / np.sqrt(2.0 * np.pi * t))
 
 
-@dataclass(frozen=True)
-class DensityModel:
-    """Fixed-time law of (position, wall height)."""
-
-    t: float
-
-    def __post_init__(self) -> None:
-        _check_positive("t", self.t)
-
-    def density(self, y, s):
-        return joint_density(y, s, self.t)
-
-
 def sample_exact(t: float, seed: int, size: int) -> np.ndarray:
     """Draw (y, s) pairs exactly from the fixed-time law.
 
@@ -153,7 +137,6 @@ def sample_identity_pair(
     n: int,
     side: str,
     replicates: int = 2000,
-    signs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Monte-Carlo pairs realizing one side of the identity chain.
 
@@ -168,8 +151,7 @@ def sample_identity_pair(
 
     ``lhs``, ``reversal`` and ``levy`` use disjoint generator domains, so
     any two of those sides are independent; ``signed`` deliberately reuses
-    the ``levy`` walk.  ``signs`` overrides the fair-sign stream (test
-    hook: all +1 reproduces ``levy`` exactly).
+    the ``levy`` walk.
     """
     _check_positive("t", t)
     if n < 1:
@@ -194,18 +176,9 @@ def sample_identity_pair(
             out[r] = run_max - end, run_max
     out /= np.sqrt(float(n))
     if side == "signed":
-        if signs is None:
-            # A fair sign is the one step of a one-step walk.
-            signs = np.array(
-                [
-                    walk_sites(stream(seed, r, domain=_SIGN_DOMAIN), 1)[1]
-                    for r in range(replicates)
-                ],
-                dtype=float,
-            )
-        else:
-            signs = np.asarray(signs, dtype=float)
-            if signs.shape != (replicates,):
-                raise ValueError("signs must have one entry per replicate")
-        out[:, 0] *= signs
+        # A fair sign is the one step of a one-step walk.
+        out[:, 0] *= np.array(
+            [walk_sites(stream(seed, r, domain=_SIGN_DOMAIN), 1)[1] for r in range(replicates)],
+            dtype=float,
+        )
     return out

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import OccupationField, WalkPath
+from .walk import OccupationField
 
 __all__ = [
     "ScaledPath",
@@ -56,7 +56,9 @@ class ScaledPath:
     ``(k/n, positions[k]/sqrt(n))``.
 
     ``positions`` are the walk's lattice sites, a signed-integer array in
-    which every step is +1 or -1; both local-time estimators read them.
+    which every step is +1 or -1; both local-time estimators read them.  A
+    walk of zero steps is its one starting site, a path that exists only at
+    ``t = 0``.
     """
 
     n: int
@@ -70,14 +72,10 @@ class ScaledPath:
             raise ValueError("path positions must be a numpy array of signed integers")
         if self.n < 1:
             raise ValueError(f"scale parameter n must be >= 1, got {self.n}")
-        if len(self.positions) < 2:
-            raise ValueError("path must have at least one step")
+        if len(self.positions) < 1:
+            raise ValueError("path must hold at least one site")
         if not np.all(np.abs(np.diff(self.positions)) == 1):
             raise ValueError("path steps must be +1 or -1")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.positions / np.sqrt(float(self.n))
 
     @property
     def n_segments(self) -> int:
@@ -86,17 +84,6 @@ class ScaledPath:
     @property
     def horizon(self) -> float:
         return self.n_segments / self.n
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.positions)) / self.n
-
-    def knots(self) -> list[tuple[float, float]]:
-        return list(zip(self.times.tolist(), self.values.tolist()))
-
-    def __call__(self, u):
-        """Evaluate by linear interpolation between knots."""
-        return np.interp(u, self.times, self.values)
 
 
 @dataclass(frozen=True)
@@ -111,9 +98,9 @@ class LocalTimeProfile:
     eps: float | None = None
 
 
-def donsker_rescale(path: WalkPath, n: int) -> ScaledPath:
-    """Rescale a walk by ``1/n`` in time and ``n**-0.5`` in space."""
-    return ScaledPath(n=n, positions=path.positions)
+def donsker_rescale(sites: np.ndarray, n: int) -> ScaledPath:
+    """Rescale a walk's sites by ``1/n`` in time and ``n**-0.5`` in space."""
+    return ScaledPath(n=n, positions=sites)
 
 
 def _check_finite(name: str, value: float) -> None:

@@ -47,6 +47,7 @@ _EXACT_KS_LIMIT = 10_000
 _ASYMPTOTIC_KS_MIN = 50  # per-sample size from which the Kolmogorov tail holds
 _EXPECTED_FLOOR = 5.0
 _EDGE_TRUNCATION = 12.0  # outermost bin edge, in units of sqrt(t)
+_GOF_BINS = (12, 12)  # GOF grid: position bins, height bins
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +119,14 @@ def ks_two_sample(a, b) -> tuple[float, float]:
 # Chi-square goodness of fit on a 2-D binning
 
 
-def quantile_bin_edges(t: float, ny: int = 12, ns: int = 12) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal-equiprobable bin edges for (position, height) at time t.
+def quantile_bin_edges(t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal-equiprobable ``_GOF_BINS`` edges for (position, height) at time t.
 
     Interior edges sit at the quantiles of the Gaussian position marginal
     and the half-normal height marginal; the outer edges truncate at
     12*sqrt(t), far beyond any representable tail mass.
     """
+    ny, ns = _GOF_BINS
     root_t = np.sqrt(t)
     qy = np.arange(1, ny) / ny
     y_edges = np.concatenate(
@@ -138,23 +140,22 @@ def quantile_bin_edges(t: float, ny: int = 12, ns: int = 12) -> tuple[np.ndarray
 
 
 @lru_cache(maxsize=32)
-def _bin_probabilities(t: float, ny: int, ns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bin_probabilities(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cell probabilities by adaptive quadrature of the joint density."""
     from scipy.integrate import dblquad
 
-    y_edges, s_edges = quantile_bin_edges(t, ny, ns)
-    probs = np.empty((ny, ns))
-    for iy in range(ny):
-        for js in range(ns):
-            probs[iy, js], _ = dblquad(
-                lambda s, y: oracle.joint_density(y, s, t),
-                y_edges[iy],
-                y_edges[iy + 1],
-                s_edges[js],
-                s_edges[js + 1],
-                epsabs=1e-10,
-                epsrel=1e-10,
-            )
+    y_edges, s_edges = quantile_bin_edges(t)
+    probs = np.empty(_GOF_BINS)
+    for iy, js in np.ndindex(_GOF_BINS):
+        probs[iy, js], _ = dblquad(
+            lambda s, y: oracle.joint_density(y, s, t),
+            y_edges[iy],
+            y_edges[iy + 1],
+            s_edges[js],
+            s_edges[js + 1],
+            epsabs=1e-10,
+            epsrel=1e-10,
+        )
     return y_edges, s_edges, probs
 
 
@@ -215,21 +216,20 @@ def _pearson(obs: np.ndarray, p: np.ndarray, n_samples: int) -> tuple[float, flo
     return statistic, p_value, dof
 
 
-def chi2_gof_2d(
-    samples, model: oracle.DensityModel, bins: tuple[int, int] = (12, 12)
-) -> tuple[float, float]:
-    """Pearson GOF of (y, s) pairs against the fixed-time joint law.
+def chi2_gof_2d(samples, t: float) -> tuple[float, float]:
+    """Pearson GOF of (y, s) pairs against the joint law at time ``t``.
 
     Bin probabilities come from adaptive quadrature of the density over a
-    marginal-equiprobable grid (cached per (t, bins)); cells below an
-    expected count of 5 are pooled before the statistic is formed.
+    marginal-equiprobable grid (cached per ``t``); cells below an expected
+    count of 5 are pooled before the statistic is formed.
     """
+    _check_positive("t", t)
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 2:
         raise ValueError("samples must be an (N, 2) array of (y, s) pairs")
     if len(samples) < 500:
         raise ValueError("need at least 500 samples for the 2-D GOF test")
-    y_edges, s_edges, probs = _bin_probabilities(model.t, *bins)
+    y_edges, s_edges, probs = _bin_probabilities(t)
     observed = _histogram_2d(samples, y_edges, s_edges)
     obs_kept, p_kept = _merge_small_bins(observed, probs, len(samples))
     statistic, p_value, _ = _pearson(obs_kept, p_kept, len(samples))
@@ -333,9 +333,8 @@ def _ks_suite(a: np.ndarray, b: np.ndarray) -> dict[str, tuple[float, float]]:
 
 def _run_area(config: ExperimentConfig) -> TestReport:
     n_steps = max(1, _steps_for(config.t, config.n))
-    path = simulate_walk(n_steps, config.seed)
-    spath = donsker_rescale(path, config.n)
-    area = wall_area(spath, config.t, c=config.c, d=config.d)
+    path = donsker_rescale(simulate_walk(n_steps, config.seed), config.n)
+    area = wall_area(path, config.t, c=config.c, d=config.d)
     target = abs(config.c) * config.d * config.t
     statistic = abs(area - target)
     tol = _AREA_RTOL * target
@@ -354,8 +353,7 @@ def _run_density(config: ExperimentConfig) -> TestReport:
     samples = oracle.sample_identity_pair(
         config.t, config.seed, config.n, "lhs", config.replicates
     )
-    model = oracle.DensityModel(config.t)
-    statistic, p_value = chi2_gof_2d(samples, model)
+    statistic, p_value = chi2_gof_2d(samples, config.t)
     return TestReport(
         test_name="density",
         statistic=statistic,
@@ -363,7 +361,7 @@ def _run_density(config: ExperimentConfig) -> TestReport:
         n_samples=config.replicates,
         seed=config.seed,
         verdict=_verdict(p_value > config.alpha),
-        params=_params(config, bins=[12, 12]),
+        params=_params(config, bins=list(_GOF_BINS)),
     )
 
 

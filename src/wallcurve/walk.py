@@ -43,21 +43,6 @@ def stream(seed: int, replicate: int = 0, domain: int = 0) -> np.random.Generato
 
 
 @dataclass(frozen=True)
-class WalkPath:
-    """Trajectory of a simple random walk started at the origin.
-
-    ``positions`` has length ``n_steps + 1`` with ``positions[0] == 0`` and
-    unit increments.  ``(seed, replicate, n_steps)`` fully determines the
-    trajectory.
-    """
-
-    seed: int
-    n_steps: int
-    positions: np.ndarray
-    replicate: int = 0
-
-
-@dataclass(frozen=True)
 class OccupationField:
     """Per-site block counts of a walk prefix: the wall, grown chunk by chunk.
 
@@ -69,12 +54,6 @@ class OccupationField:
     min_site: int = 0
     counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     total: int = 0
-
-    def sites(self) -> np.ndarray:
-        return self.min_site + np.arange(len(self.counts))
-
-    def as_dict(self) -> dict[int, int]:
-        return {int(j): int(c) for j, c in zip(self.sites(), self.counts)}
 
     def drop(self, sites: np.ndarray) -> tuple[OccupationField, np.ndarray]:
         """Drop one block on each of ``sites``, in order.
@@ -114,9 +93,6 @@ class BlockTrace:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def __iter__(self):
-        return zip(self.steps.tolist(), self.sites.tolist(), self.heights.tolist())
-
 
 def walk_sites(rng: np.random.Generator, n_steps: int, start: int = 0) -> np.ndarray:
     """Sites of ``n_steps`` fair +/-1 steps from ``start``, ``start`` first.
@@ -148,29 +124,27 @@ def walk_sites(rng: np.random.Generator, n_steps: int, start: int = 0) -> np.nda
     return np.cumsum(sites, out=sites)
 
 
-def simulate_walk(n_steps: int, seed: int, replicate: int = 0) -> WalkPath:
-    """Simulate ``n_steps`` fair +/-1 steps from the origin.
+def simulate_walk(n_steps: int, seed: int) -> np.ndarray:
+    """Sites of ``n_steps`` fair +/-1 steps from the origin, an int64 array.
 
-    ``n_steps = 0`` is legal and yields the single-point path ``[0]``.
+    ``n_steps = 0`` is legal and yields the single site ``[0]``.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    positions = walk_sites(stream(seed, replicate, domain=0), n_steps)
-    return WalkPath(seed=seed, n_steps=n_steps, positions=positions, replicate=replicate)
+    return walk_sites(stream(seed, 0, domain=0), n_steps)
 
 
-def occupation_field(path: WalkPath, up_to_step: int | None = None) -> OccupationField:
-    """Count blocks per site over ``positions[0 .. up_to_step]`` inclusive.
+def occupation_field(sites: np.ndarray, up_to_step: int | None = None) -> OccupationField:
+    """Count blocks per site over ``sites[0 .. up_to_step]`` inclusive.
 
     The initial block at site 0 counts, so the total is ``up_to_step + 1``.
     """
+    n_steps = len(sites) - 1
     if up_to_step is None:
-        up_to_step = path.n_steps
-    if up_to_step < 0 or up_to_step > path.n_steps:
-        raise ValueError(
-            f"up_to_step must be in [0, {path.n_steps}], got {up_to_step}"
-        )
-    return OccupationField().drop(path.positions[: up_to_step + 1])[0]
+        up_to_step = n_steps
+    if up_to_step < 0 or up_to_step > n_steps:
+        raise ValueError(f"up_to_step must be in [0, {n_steps}], got {up_to_step}")
+    return OccupationField().drop(sites[: up_to_step + 1])[0]
 
 
 def _running_visit_rank(idx: np.ndarray) -> np.ndarray:
@@ -190,9 +164,8 @@ def _running_visit_rank(idx: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def discrete_brick_trace(path: WalkPath) -> BlockTrace:
+def discrete_brick_trace(sites: np.ndarray) -> BlockTrace:
     """Record every block placement as (step, site, running height at site)."""
-    sites = path.positions
     heights = OccupationField().drop(sites)[1]
     steps = np.arange(len(sites), dtype=np.int64)
     return BlockTrace(steps=steps, sites=sites.copy(), heights=heights)

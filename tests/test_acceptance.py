@@ -12,7 +12,6 @@ import pytest
 from scipy import integrate
 
 from wallcurve import (
-    DensityModel,
     Window,
     build_trace,
     chi2_gof_2d,
@@ -77,7 +76,7 @@ def test_criterion_2_scaled_area_law():
 def test_criterion_3_fixed_time_law(fixed_time_samples):
     samples, sample_time = fixed_time_samples
     start = time.monotonic()
-    statistic, p_value = chi2_gof_2d(samples, DensityModel(1.0))
+    statistic, p_value = chi2_gof_2d(samples, 1.0)
     elapsed = sample_time + time.monotonic() - start
     ok = p_value > ALPHA and elapsed <= 600
     _report(3, ok, f"chi-square {statistic:.1f}, p = {p_value:.4f}, {elapsed:.1f}s")
@@ -168,9 +167,8 @@ def test_criterion_8_fill_order():
         n_steps = 500 + (seed * 37) % 1500
         n = scales[seed % len(scales)]
         estimator = "band" if seed % 10 == 9 else "occupation"
-        trace = build_trace(
-            simulate_walk(n_steps, seed=seed), n, estimator=estimator, subsample=21
-        )
+        path = donsker_rescale(simulate_walk(n_steps, seed=seed), n)
+        trace = build_trace(path, estimator=estimator, subsample=21)
         if fill_order_check(trace):
             _report(8, False, f"violations in trace for seed {seed}")
         checked += 1
@@ -209,10 +207,9 @@ def test_criterion_9_oracle_self_consistency():
     )
     moment_err = abs(moment - mean_height(1.0))
 
-    model = DensityModel(1.0)
     rejects = 0
     for k in range(200):
-        _, p = chi2_gof_2d(sample_exact(1.0, 5000 + k, 10**4), model)
+        _, p = chi2_gof_2d(sample_exact(1.0, 5000 + k, 10**4), 1.0)
         rejects += p <= ALPHA
 
     ok = (

@@ -23,6 +23,15 @@ def test_walk_zero_steps(capsys):
     assert out == "k,site,height\n0,0,1\n"
 
 
+@pytest.mark.parametrize("estimator, height", [("occupation", "0.01"), ("band", "0")])
+def test_curve_zero_steps(capsys, estimator, height):
+    # A zero-step walk is its origin at t = 0: one block of height 1/sqrt(n),
+    # and a band that has held no time yet.
+    code, out, err = run_cli(capsys, "curve", "--steps", "0", "--estimator", estimator)
+    assert (code, err) == (0, "")
+    assert out == f"t,x,h\n0,0,{height}\n"
+
+
 def test_walk_row_count_and_determinism(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

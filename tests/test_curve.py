@@ -5,29 +5,35 @@ import pytest
 
 from wallcurve import (
     CurveTrace,
-    WalkPath,
+    ScaledPath,
     Window,
     band_local_time,
     build_trace,
     coverage_check,
     donsker_rescale,
     fill_order_check,
+    local_time_profile,
+    occupation_local_time,
     scale_trace,
     simulate_walk,
     wall_area,
 )
 
 
+def _trace(n_steps, seed, n, **kwargs):
+    """The curve of a seeded ``n_steps`` walk at scale ``n``."""
+    return build_trace(donsker_rescale(simulate_walk(n_steps, seed=seed), n), **kwargs)
+
+
 def test_build_trace_hand_case():
-    path = WalkPath(seed=0, n_steps=2, positions=np.array([0, 1, 0]))
-    trace = build_trace(path, 1)
+    trace = build_trace(ScaledPath(n=1, positions=np.array([0, 1, 0])))
     assert trace.times.tolist() == [0.0, 1.0, 2.0]
     assert trace.levels.tolist() == [0.0, 1.0, 0.0]
     assert trace.heights.tolist() == [1.0, 1.0, 2.0]
 
 
 def test_build_trace_initial_height():
-    trace = build_trace(simulate_walk(10, seed=2), 100)
+    trace = _trace(10, 2, 100)
     assert trace.times[0] == 0.0
     assert trace.levels[0] == 0.0
     assert trace.heights[0] == pytest.approx(0.1)
@@ -35,7 +41,7 @@ def test_build_trace_initial_height():
 
 def test_build_trace_length_and_steps():
     n = 400
-    trace = build_trace(simulate_walk(n, seed=3), n)
+    trace = _trace(n, 3, n)
     assert len(trace) == n + 1
     assert np.all(np.diff(trace.times) > 0)
     assert np.allclose(np.abs(np.diff(trace.levels)), 1 / np.sqrt(n))
@@ -43,10 +49,9 @@ def test_build_trace_length_and_steps():
 
 
 def test_build_trace_band_estimator_subsamples():
-    path = simulate_walk(500, seed=4)
-    trace = build_trace(path, 500, estimator="band", subsample=41)
+    spath = donsker_rescale(simulate_walk(500, seed=4), 500)
+    trace = build_trace(spath, estimator="band", subsample=41)
     assert len(trace) == 41
-    spath = donsker_rescale(path, 500)
     eps = 500**-0.25
     direct = [
         band_local_time(spath, x, t, eps) for x, t in zip(trace.levels, trace.times)
@@ -56,11 +61,11 @@ def test_build_trace_band_estimator_subsamples():
 
 def test_build_trace_rejects_unknown_estimator():
     with pytest.raises(ValueError):
-        build_trace(simulate_walk(5, seed=0), 5, estimator="quantum")
+        _trace(5, 0, 5, estimator="quantum")
 
 
 def test_scale_trace_identity_and_mirror():
-    trace = build_trace(simulate_walk(50, seed=5), 50)
+    trace = _trace(50, 5, 50)
     same = scale_trace(trace, 1.0, 1.0)
     assert np.array_equal(same.levels, trace.levels)
     assert np.array_equal(same.heights, trace.heights)
@@ -70,11 +75,29 @@ def test_scale_trace_identity_and_mirror():
 
 
 def test_scale_trace_rejects_degenerate_factors():
-    trace = build_trace(simulate_walk(5, seed=0), 5)
+    trace = _trace(5, 0, 5)
     with pytest.raises(ValueError):
         scale_trace(trace, 0.0, 1.0)
     with pytest.raises(ValueError):
         scale_trace(trace, 1.0, 0.0)
+
+
+def test_zero_step_path_at_time_zero():
+    # A walk of zero steps is its starting site: at t = 0 the band holds no
+    # time, the wall is the one block at the origin and the area is 0.
+    path = donsker_rescale(simulate_walk(0, seed=3), 100)
+    levels = np.array([-0.1, 0.0, 0.1])
+    band = local_time_profile(path, 0.0, levels, estimator="band").values
+    occupation = local_time_profile(path, 0.0, levels, estimator="occupation").values
+    assert band.tolist() == [0.0, 0.0, 0.0]
+    assert occupation.tolist() == [0.0, 0.1, 0.0]
+    assert band_local_time(path, 0.0, 0.0, 0.5) == 0.0
+    assert occupation_local_time(path, 0.0, 0.0) == 0.1
+    assert wall_area(path, 0.0) == 0.0
+    for estimator, height in (("occupation", 0.1), ("band", 0.0)):
+        trace = build_trace(path, estimator=estimator)
+        assert (trace.times.tolist(), trace.levels.tolist()) == ([0.0], [0.0])
+        assert trace.heights.tolist() == [height]
 
 
 def test_wall_area_zero_time():
@@ -118,9 +141,9 @@ def test_wall_area_argument_errors():
 
 def test_fill_order_clean_for_built_traces():
     for seed in range(5):
-        trace = build_trace(simulate_walk(800, seed=seed), 800)
+        trace = _trace(800, seed, 800)
         assert fill_order_check(trace) == []
-    band = build_trace(simulate_walk(300, seed=1), 300, estimator="band", subsample=25)
+    band = _trace(300, 1, 300, estimator="band", subsample=25)
     assert fill_order_check(band) == []
 
 
@@ -133,7 +156,7 @@ def test_fill_order_empty_trace():
 
 
 def test_fill_order_flags_corrupted_heights():
-    trace = build_trace(simulate_walk(40, seed=9), 40)
+    trace = _trace(40, 9, 40)
     revisits = np.where(trace.levels == 0.0)[0]
     i, j = int(revisits[0]), int(revisits[1])
     heights = trace.heights.copy()
@@ -159,7 +182,7 @@ def test_fill_order_reports_consecutive_drops_only():
 
 
 def test_scaling_preserves_fill_order():
-    trace = build_trace(simulate_walk(500, seed=10), 500)
+    trace = _trace(500, 10, 500)
     assert fill_order_check(scale_trace(trace, -2.5, 0.3)) == []
 
 
@@ -211,7 +234,7 @@ def test_coverage_first_cover_times_match_point_loop():
     expected = np.full((nx, nh), np.nan)
     counts = {}
     root_n = np.sqrt(float(n))
-    for k, site in enumerate(simulate_walk(budget, seed).positions.tolist()):
+    for k, site in enumerate(simulate_walk(budget, seed).tolist()):
         counts[site] = counts.get(site, 0) + 1
         x, h = site / root_n, counts[site] / root_n
         if window.x_lo <= x < window.x_hi and 0.0 <= h < window.h_hi:
@@ -233,7 +256,7 @@ def test_height_jumps_shrink_with_scale():
     for seed in range(10):
         jumps = {}
         for n in (10**4, 10**6):
-            trace = build_trace(simulate_walk(n, seed=seed), n)
+            trace = _trace(n, seed, n)
             jumps[n] = np.abs(np.diff(trace.heights)).max()
         wins += jumps[10**6] < jumps[10**4]
     assert wins >= 9

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from wallcurve import (
-    DensityModel,
+    chi2_gof_2d,
     joint_density,
     marginal_height,
     marginal_level,
@@ -60,7 +60,7 @@ _ORACLE_CALLS = {
     "marginal_height": lambda t: marginal_height(0.2, t),
     "mean_height": mean_height,
     "reflection_tail": lambda t: reflection_tail(0.0, 0.5, t),
-    "DensityModel": DensityModel,
+    "chi2_gof_2d": lambda t: chi2_gof_2d(np.zeros((500, 2)), t),
     "sample_exact": lambda t: sample_exact(t, 0, 2),
     "sample_identity_pair": lambda t: sample_identity_pair(t, 0, 100, "lhs", replicates=2),
 }
@@ -164,8 +164,6 @@ def test_sampler_rejects_bad_arguments():
         sample_identity_pair(1.0, 0, 100, "diagonal", replicates=10)
     with pytest.raises(ValueError):
         sample_identity_pair(0.0, 0, 100, "lhs", replicates=10)
-    with pytest.raises(ValueError):
-        sample_identity_pair(1.0, 0, 100, "signed", replicates=4, signs=np.ones(3))
 
 
 def test_levy_side_coordinates_nonnegative():
@@ -175,9 +173,13 @@ def test_levy_side_coordinates_nonnegative():
 
 
 def test_signed_side_with_forced_plus_signs_equals_levy():
-    signed = sample_identity_pair(1.0, 6, 500, "signed", 300, signs=np.ones(300))
+    # Forcing every sign to + (taking |.|) gives back the levy pair, and the
+    # fair signs themselves take both values.
+    signed = sample_identity_pair(1.0, 6, 500, "signed", 300)
     levy = sample_identity_pair(1.0, 6, 500, "levy", 300)
-    assert np.array_equal(signed, levy)
+    assert np.array_equal(np.abs(signed), levy)
+    gaps = signed[:, 0][signed[:, 0] != 0]
+    assert (gaps > 0).any() and (gaps < 0).any()
 
 
 def test_heights_count_initial_block():

@@ -61,7 +61,7 @@ def test_walk_sites_reads_the_bits_integers_gives(seed, n_steps, lead, start):
 @settings(max_examples=60, deadline=None)
 @given(seed=seeds, n_steps=step_counts, data=st.data())
 def test_chunked_drops_equal_one_drop(seed, n_steps, data):
-    sites = simulate_walk(n_steps, seed).positions
+    sites = simulate_walk(n_steps, seed)
     whole, whole_heights = OccupationField().drop(sites)
     wall, heights = OccupationField(), []
     bounds = _split(data, n_steps + 1)
@@ -77,7 +77,7 @@ def test_chunked_drops_equal_one_drop(seed, n_steps, data):
 @settings(max_examples=60, deadline=None)
 @given(seed=seeds, n_steps=step_counts)
 def test_negated_sites_mirror_the_wall(seed, n_steps):
-    sites = simulate_walk(n_steps, seed).positions
+    sites = simulate_walk(n_steps, seed)
     wall, heights = OccupationField().drop(sites)
     mirror, mirror_heights = OccupationField().drop(-sites)
     assert mirror.min_site == -(wall.min_site + len(wall.counts) - 1)
@@ -88,7 +88,7 @@ def test_negated_sites_mirror_the_wall(seed, n_steps):
 @settings(max_examples=60, deadline=None)
 @given(seed=seeds, n_steps=step_counts)
 def test_heights_count_up_per_site(seed, n_steps):
-    sites = simulate_walk(n_steps, seed).positions
+    sites = simulate_walk(n_steps, seed)
     tally: dict[int, int] = {}
     expected = []
     for site in sites.tolist():
@@ -96,4 +96,4 @@ def test_heights_count_up_per_site(seed, n_steps):
         expected.append(tally[site])
     wall, heights = OccupationField().drop(sites)
     assert heights.tolist() == expected
-    assert wall.as_dict() == dict(sorted(tally.items()))
+    assert dict(enumerate(wall.counts.tolist(), wall.min_site)) == tally

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from wallcurve import (
     ScaledPath,
-    WalkPath,
     band_local_time,
     default_band_width,
     donsker_rescale,
@@ -17,18 +16,30 @@ from wallcurve import (
     occupation_local_time,
     sample_identity_pair,
     simulate_walk,
+    wall_area,
 )
 from wallcurve.scaling import _active_segments, _steps_for, snap_level
 
 
+def _knot_times(path):
+    return np.arange(len(path.positions)) / path.n
+
+
+def _knot_values(path):
+    return path.positions / np.sqrt(float(path.n))
+
+
+def _knots(path):
+    """The knots ``(k/n, positions[k]/sqrt(n))`` of a rescaled walk."""
+    return list(zip(_knot_times(path).tolist(), _knot_values(path).tolist()))
+
+
 def test_rescale_identity_scale():
-    path = WalkPath(seed=0, n_steps=1, positions=np.array([0, 1]))
-    assert donsker_rescale(path, 1).knots() == [(0.0, 0.0), (1.0, 1.0)]
+    assert _knots(donsker_rescale(np.array([0, 1]), 1)) == [(0.0, 0.0), (1.0, 1.0)]
 
 
 def test_rescale_hand_case():
-    path = WalkPath(seed=0, n_steps=3, positions=np.array([0, 1, 0, -1]))
-    assert donsker_rescale(path, 4).knots() == [
+    assert _knots(donsker_rescale(np.array([0, 1, 0, -1]), 4)) == [
         (0.0, 0.0),
         (0.25, 0.5),
         (0.5, 0.0),
@@ -36,31 +47,27 @@ def test_rescale_hand_case():
     ]
 
 
-def test_rescale_interpolates_linearly():
-    spath = donsker_rescale(simulate_walk(50, seed=4), 50)
-    mid = (spath.times[:-1] + spath.times[1:]) / 2
-    expected = (spath.values[:-1] + spath.values[1:]) / 2
-    assert np.allclose(spath(mid), expected, rtol=0, atol=1e-15)
-
-
 def test_rescale_rejects_bad_scale():
-    path = simulate_walk(5, seed=0)
     with pytest.raises(ValueError):
-        donsker_rescale(path, 0)
+        donsker_rescale(simulate_walk(5, seed=0), 0)
 
 
 def test_band_local_time_flat_path():
     # A ScaledPath is a rescaled walk: flat segments, steps other than +1 or
-    # -1, a scale below 1 and a path without a step cannot be built.
-    jump = WalkPath(seed=0, n_steps=2, positions=np.array([0, 2, 1]))
+    # -1, a scale below 1 and a path without a site cannot be built.  A walk
+    # of zero steps can, and every estimate on it is taken at t = 0.
     with pytest.raises(ValueError, match="steps must be"):
-        donsker_rescale(jump, 1)
+        donsker_rescale(np.array([0, 2, 1]), 1)
     with pytest.raises(ValueError, match="steps must be"):
         ScaledPath(n=1, positions=np.array([0, 0]))
     with pytest.raises(ValueError, match="n must be >= 1"):
         ScaledPath(n=0, positions=np.array([0, 1]))
-    with pytest.raises(ValueError, match="at least one step"):
-        ScaledPath(n=1, positions=np.array([0]))
+    with pytest.raises(ValueError, match="at least one site"):
+        ScaledPath(n=1, positions=np.array([], dtype=np.int64))
+    point = ScaledPath(n=1, positions=np.array([0]))
+    assert band_local_time(point, 0.0, 0.0, 0.5) == 0.0
+    assert occupation_local_time(point, 0.0, 0.0) == 1.0
+    assert wall_area(point, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("positions", [np.array([0.5, 1.5, 0.5]), [0, 1]])
@@ -70,7 +77,7 @@ def test_scaled_path_rejects_non_integer_array_positions(positions):
 
 
 def _one_step_path():
-    return donsker_rescale(WalkPath(seed=0, n_steps=1, positions=np.array([0, 1])), 1)
+    return donsker_rescale(np.array([0, 1]), 1)
 
 
 def test_band_local_time_single_segment_clip():
@@ -146,11 +153,10 @@ def test_profile_at_time_zero():
 
 
 def test_profile_vanishes_outside_path_range():
-    path = simulate_walk(500, seed=9)
-    spath = donsker_rescale(path, 500)
+    spath = donsker_rescale(simulate_walk(500, seed=9), 500)
     eps = 0.2
-    hi = spath.values.max() + eps
-    lo = spath.values.min() - eps
+    hi = _knot_values(spath).max() + eps
+    lo = _knot_values(spath).min() - eps
     levels = np.array([lo - 1.0, lo - 0.01, hi + 0.01, hi + 1.0])
     prof = local_time_profile(spath, 1.0, levels, eps, "band")
     assert np.all(prof.values == 0.0)
@@ -168,7 +174,8 @@ def test_band_local_time_matches_dense_sampling_oracle():
         y = float(rng.normal(scale=0.5))
         eps = float(rng.uniform(0.05, 0.5))
         u = np.linspace(0.0, t, 200_001)
-        brute = np.mean(np.abs(spath(u) - y) < eps) * t / (2 * eps)
+        curve = np.interp(u, _knot_times(spath), _knot_values(spath))
+        brute = np.mean(np.abs(curve - y) < eps) * t / (2 * eps)
         exact = band_local_time(spath, y, t, eps)
         assert exact == pytest.approx(brute, abs=2e-3)
 
@@ -198,7 +205,7 @@ def test_band_sliver_past_a_knot_is_dropped():
     # t lies 1e-9 of a step past knot 13, within the round-off of t = k/n:
     # point and profile both stop at the knot, where the band holds 1 of 2.
     positions = np.array([0, -1, -2, -1, -2, -3, -4, -5, -4, -3, -2, -1, -2, -1, 0])
-    spath = donsker_rescale(WalkPath(seed=0, n_steps=14, positions=positions), 1)
+    spath = donsker_rescale(positions, 1)
     t = 13.000000001
     point = band_local_time(spath, 0.0, t, 1.0)
     profile = local_time_profile(spath, t, [0.0], 1.0, "band").values[0]
@@ -210,9 +217,8 @@ def test_band_profile_integrates_to_elapsed_time():
     spath = donsker_rescale(simulate_walk(2000, seed=11), 2000)
     eps = default_band_width(2000)
     t = 0.9
-    grid = np.arange(
-        spath.values.min() - 2 * eps, spath.values.max() + 2 * eps, eps / 5
-    )
+    values = _knot_values(spath)
+    grid = np.arange(values.min() - 2 * eps, values.max() + 2 * eps, eps / 5)
     values = local_time_profile(spath, t, grid, eps, "band").values
     assert abs(np.trapezoid(values, grid) - t) < 1e-3 * t
 
@@ -267,8 +273,9 @@ def _band_local_time_reference(path, y, t, eps):
     k = _active_segments(t, path.n, path.n_segments)
     if k == 0:
         return 0.0
-    x0 = path.values[:k]
-    x1 = path.values[1 : k + 1]
+    values = _knot_values(path)
+    x0 = values[:k]
+    x1 = values[1 : k + 1]
     s_max = np.minimum(1.0, t * path.n - np.arange(k))
     lo, hi = y - eps, y + eps
     sa = (lo - x0) / (x1 - x0)
@@ -299,12 +306,13 @@ def band_cases(draw):
     the path; ``t`` sits on a knot time or between two.
     """
     spath, step = draw(walk_paths())
-    width = float(np.ptp(spath.values)) + step
+    values = _knot_values(spath)
+    width = float(np.ptp(values)) + step
     eps = step * 2.0 ** draw(st.floats(-2.0, np.log2(width / step) + 1.0))
-    knot = float(spath.values[draw(st.integers(0, spath.n_segments))])
+    knot = float(values[draw(st.integers(0, spath.n_segments))])
     y = draw(
         st.sampled_from([knot, knot - eps, knot + eps])
-        | st.floats(float(spath.values.min()) - 2 * eps, float(spath.values.max()) + 2 * eps)
+        | st.floats(float(values.min()) - 2 * eps, float(values.max()) + 2 * eps)
     )
     k = draw(st.integers(0, spath.n_segments))
     frac = 0.0 if k == spath.n_segments else draw(st.sampled_from([0.0]) | st.floats(0.0, 1.0))
@@ -348,7 +356,7 @@ def profile_cases(draw):
     frac = draw(st.sampled_from([0.0]) | st.floats(0.0, 1.0)) if k < n_steps else 0.0
     t = draw(st.sampled_from([(k + frac) / n]) | st.floats(0.0, 1.0 / n))
     step = 1.0 / np.sqrt(n)
-    width = float(np.ptp(spath.values)) + step
+    width = float(np.ptp(_knot_values(spath))) + step
     eps = step * 2.0 ** draw(st.floats(np.log2(0.1), np.log2(width / step) + 1.0))
     sites = np.arange(spath.positions.min() - 2, spath.positions.max() + 3) * step
     levels = np.unique(np.concatenate([sites, sites - eps, sites + eps]))
@@ -373,7 +381,7 @@ def test_occupation_profile_equals_point_counts(case):
     profile = local_time_profile(spath, t, levels, estimator="occupation").values
     points = np.array([occupation_local_time(spath, y, t) for y in levels])
     assert np.all(profile == points)
-    walk = WalkPath(seed=0, n_steps=spath.n_segments, positions=spath.positions)
-    blocks = occupation_field(walk, _steps_for(t, spath.n)).as_dict()
+    wall = occupation_field(spath.positions, _steps_for(t, spath.n))
+    blocks = dict(enumerate(wall.counts.tolist(), wall.min_site))
     counts = [blocks.get(site, 0) for site in snap_level(levels, spath.n).tolist()]
     assert np.all(profile == np.array(counts) / np.sqrt(float(spath.n)))

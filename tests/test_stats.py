@@ -10,7 +10,6 @@ import pytest
 from scipy.special import kolmogorov
 
 from wallcurve import (
-    DensityModel,
     ExperimentConfig,
     Window,
     chi2_gof_2d,
@@ -183,7 +182,7 @@ def test_ks_unbalanced_small_sample_uses_exact_pvalue():
 
 
 def test_bin_probabilities_sum_to_one():
-    _, _, probs = _bin_probabilities(1.0, 12, 12)
+    _, _, probs = _bin_probabilities(1.0)
     assert probs.sum() == pytest.approx(1.0, abs=1e-6)
     assert np.all(probs > 0)
 
@@ -191,7 +190,7 @@ def test_bin_probabilities_sum_to_one():
 def test_bin_probabilities_bytes_are_pinned():
     # The GOF cells feed every `verify density` report byte for byte, so this
     # hash moves only with a deliberate output format change.
-    _, _, probs = _bin_probabilities(1.0, 12, 12)
+    _, _, probs = _bin_probabilities(1.0)
     assert hashlib.sha256(probs.tobytes()).hexdigest() == (
         "b7268dee01005a2fd9ddb97965b05c4f70b3266180105ecacca7529199aad0cd"
     )
@@ -202,7 +201,7 @@ def test_bin_probabilities_match_closed_form_cell():
     # reducing to Gaussian CDF differences.
     from scipy.stats import norm
 
-    y_edges, s_edges, probs = _bin_probabilities(1.0, 12, 12)
+    y_edges, s_edges, probs = _bin_probabilities(1.0)
 
     def cell_prob(a, b, c, d):
         # For 0 <= a < b: P = Phi(b+c) - Phi(a+c) - Phi(b+d) + Phi(a+d).
@@ -225,18 +224,17 @@ def test_bin_probabilities_match_closed_form_cell():
 
 
 def test_chi2_self_consistent_on_synthetic_multinomial():
-    y_edges, s_edges, probs = _bin_probabilities(1.0, 12, 12)
+    y_edges, s_edges, probs = _bin_probabilities(1.0)
     flat = probs.ravel() / probs.sum()
     y_mid = (y_edges[:-1] + y_edges[1:]) / 2
     s_mid = (s_edges[:-1] + s_edges[1:]) / 2
     cells = np.array([[y, s] for y in y_mid for s in s_mid])
-    model = DensityModel(1.0)
     low_p = 0
     seen_high = False
     for seed in range(50):
         counts = np.random.default_rng(seed).multinomial(10**5, flat)
         samples = np.repeat(cells, counts, axis=0)
-        _, p = chi2_gof_2d(samples, model)
+        _, p = chi2_gof_2d(samples, 1.0)
         low_p += p < 0.05
         seen_high |= p > 0.5
     assert low_p <= 9
@@ -245,18 +243,18 @@ def test_chi2_self_consistent_on_synthetic_multinomial():
 
 def test_chi2_gross_mismatch_rejected():
     samples = np.full((600, 2), 0.01)
-    _, p = chi2_gof_2d(samples, DensityModel(1.0))
+    _, p = chi2_gof_2d(samples, 1.0)
     assert p < 1e-6
 
 
 def test_chi2_requires_enough_samples():
     with pytest.raises(ValueError):
-        chi2_gof_2d(np.zeros((100, 2)), DensityModel(1.0))
+        chi2_gof_2d(np.zeros((100, 2)), 1.0)
 
 
 def test_chi2_passes_on_exact_sampler():
     samples = sample_exact(1.0, 2024, 20_000)
-    _, p = chi2_gof_2d(samples, DensityModel(1.0))
+    _, p = chi2_gof_2d(samples, 1.0)
     assert p > 0.001
 
 

@@ -4,25 +4,30 @@ import numpy as np
 import pytest
 
 from wallcurve import (
-    WalkPath,
     discrete_brick_trace,
     occupation_field,
     simulate_walk,
     stream,
 )
+from wallcurve.walk import walk_sites
+
+
+def _blocks(field):
+    """A wall's per-site block counts as ``{site: count}``."""
+    return dict(enumerate(field.counts.tolist(), field.min_site))
 
 
 def test_zero_step_walk_is_single_point():
-    path = simulate_walk(0, seed=7)
-    assert path.positions.tolist() == [0]
-    assert path.n_steps == 0
+    sites = simulate_walk(0, seed=7)
+    assert sites.tolist() == [0]
+    assert sites.dtype == np.int64
 
 
 def test_walk_structure():
-    path = simulate_walk(3, seed=5)
-    assert len(path.positions) == 4
-    assert path.positions[0] == 0
-    assert set(np.abs(np.diff(path.positions)).tolist()) == {1}
+    sites = simulate_walk(3, seed=5)
+    assert len(sites) == 4
+    assert sites[0] == 0
+    assert set(np.abs(np.diff(sites)).tolist()) == {1}
 
 
 def test_negative_steps_rejected():
@@ -31,15 +36,15 @@ def test_negative_steps_rejected():
 
 
 def test_walk_is_deterministic_at_scale():
-    a = simulate_walk(10**6, seed=42).positions
-    b = simulate_walk(10**6, seed=42).positions
+    a = simulate_walk(10**6, seed=42)
+    b = simulate_walk(10**6, seed=42)
     assert np.array_equal(a, b)
 
 
 def test_distinct_seeds_and_replicates_differ():
-    base = simulate_walk(64, seed=1).positions
-    assert not np.array_equal(base, simulate_walk(64, seed=2).positions)
-    assert not np.array_equal(base, simulate_walk(64, seed=1, replicate=1).positions)
+    base = simulate_walk(64, seed=1)
+    assert not np.array_equal(base, simulate_walk(64, seed=2))
+    assert not np.array_equal(base, walk_sites(stream(1, 1), 64))
 
 
 def test_stream_domains_are_disjoint():
@@ -49,49 +54,47 @@ def test_stream_domains_are_disjoint():
 
 
 def test_occupation_field_hand_case():
-    path = WalkPath(seed=0, n_steps=3, positions=np.array([0, 1, 0, -1]))
-    field = occupation_field(path, 3)
-    assert field.as_dict() == {-1: 1, 0: 2, 1: 1}
+    field = occupation_field(np.array([0, 1, 0, -1]), 3)
+    assert _blocks(field) == {-1: 1, 0: 2, 1: 1}
     assert field.total == 4
 
 
 def test_occupation_field_single_block():
-    path = simulate_walk(0, seed=3)
-    assert occupation_field(path, 0).as_dict() == {0: 1}
+    sites = simulate_walk(0, seed=3)
+    assert _blocks(occupation_field(sites, 0)) == {0: 1}
 
 
 def test_occupation_field_counts_one_block_per_time_index():
-    path = simulate_walk(257, seed=11)
+    sites = simulate_walk(257, seed=11)
     for k in (0, 100, 257):
-        field = occupation_field(path, k)
+        field = occupation_field(sites, k)
         assert field.total == k + 1
         assert field.counts.sum() == k + 1
 
 
 def test_occupation_field_bounds_checked():
-    path = simulate_walk(5, seed=0)
+    sites = simulate_walk(5, seed=0)
     with pytest.raises(ValueError):
-        occupation_field(path, 6)
+        occupation_field(sites, 6)
     with pytest.raises(ValueError):
-        occupation_field(path, -1)
+        occupation_field(sites, -1)
 
 
 def test_occupation_field_grows_by_one_at_current_site():
-    path = simulate_walk(200, seed=13)
-    prev = occupation_field(path, 0).as_dict()
+    sites = simulate_walk(200, seed=13)
+    prev = _blocks(occupation_field(sites, 0))
     for k in range(1, 201):
-        cur = occupation_field(path, k).as_dict()
+        cur = _blocks(occupation_field(sites, k))
         diff = {j: cur.get(j, 0) - prev.get(j, 0) for j in set(cur) | set(prev)}
         changed = {j: v for j, v in diff.items() if v}
-        assert changed == {int(path.positions[k]): 1}
+        assert changed == {int(sites[k]): 1}
         prev = cur
 
 
 def test_occupation_field_mirror_symmetry():
-    path = simulate_walk(300, seed=21)
-    mirrored = WalkPath(seed=21, n_steps=300, positions=-path.positions)
-    forward = occupation_field(path).as_dict()
-    backward = occupation_field(mirrored).as_dict()
+    sites = simulate_walk(300, seed=21)
+    forward = _blocks(occupation_field(sites))
+    backward = _blocks(occupation_field(-sites))
     assert backward == {-j: c for j, c in forward.items()}
 
 
@@ -101,15 +104,15 @@ def test_visited_sites_form_an_interval():
 
 
 def test_brick_trace_hand_cases():
-    single = WalkPath(seed=0, n_steps=0, positions=np.array([0]))
-    assert list(discrete_brick_trace(single)) == [(0, 0, 1)]
-    path = WalkPath(seed=0, n_steps=2, positions=np.array([0, 1, 0]))
-    assert list(discrete_brick_trace(path)) == [(0, 0, 1), (1, 1, 1), (2, 0, 2)]
+    def rows(trace):
+        return np.column_stack([trace.steps, trace.sites, trace.heights]).tolist()
+
+    assert rows(discrete_brick_trace(np.array([0]))) == [[0, 0, 1]]
+    assert rows(discrete_brick_trace(np.array([0, 1, 0]))) == [[0, 0, 1], [1, 1, 1], [2, 0, 2]]
 
 
 def test_brick_trace_heights_count_up_per_site():
-    path = simulate_walk(400, seed=17)
-    trace = discrete_brick_trace(path)
+    trace = discrete_brick_trace(simulate_walk(400, seed=17))
     assert len(trace) == 401
     for site in np.unique(trace.sites):
         heights = trace.heights[trace.sites == site]
