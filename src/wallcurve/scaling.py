@@ -161,13 +161,10 @@ def _band_profile(
     """Band-estimator profile over a level grid from lattice-edge counts.
 
     Every step is +1 or -1, so each whole segment crosses one lattice edge
-    in time ``1/n`` at constant speed, and the band ``[a, b]`` (in lattice
-    units) holds each crossing of edge ``[s, s+1]`` for the length of their
-    overlap.  Edges strictly inside the band add their integer crossing
-    counts; the edges holding ``a`` and ``b`` add count times overlap.  Each
-    term is non-negative and rounded on its own scale, so the sum is exact
-    to a few ulps of itself and never decreases in ``t`` beyond that.  A
-    partial last segment adds its own overlap; it exists only when
+    in time ``1/n`` at constant speed: the time spent below a lattice
+    coordinate is piecewise linear between sites, with the edge's crossing
+    count as its slope, and the band measure is its difference across the
+    band.  A partial last segment is clipped on its own; it exists only when
     :func:`_active_segments` counts one more segment than ``floor(t*n)``, so
     a sliver within the round-off of ``t = k/n`` is dropped.  This costs
     O(k + m) for k segments and m levels.
@@ -177,28 +174,17 @@ def _band_profile(
     full = min(k, math.floor(t * path.n))
     edges = np.minimum(pos[:full], pos[1 : full + 1])
     lo = pos[: full + 1].min()
-    counts = np.bincount(edges - lo)
-    m = len(counts)  # edge i runs from site lo + i to lo + i + 1
-    below = np.concatenate([[0], np.cumsum(counts)])
-    padded = np.append(counts, 0)  # a band end on the top site meets no edge
+    below = np.concatenate([[0.0], np.cumsum(np.bincount(edges - lo))])
+    sites = np.arange(lo, lo + len(below))
     root_n = np.sqrt(float(path.n))
-    lower = (levels - eps) * root_n
-    upper = (levels + eps) * root_n
-    a = np.clip(lower, lo, lo + m)  # no whole segment leaves [lo, lo + m]
-    b = np.clip(upper, lo, lo + m)
-    ia = (np.floor(np.nan_to_num(a, nan=lo)) - lo).astype(np.int64)
-    ib = (np.floor(np.nan_to_num(b, nan=lo)) - lo).astype(np.int64)
-    inner_lo = np.minimum(ia + 1, m)
-    inner = below[np.maximum(inner_lo, ib)] - below[inner_lo]
-    at_a = padded[ia] * (np.minimum(b, lo + ia + 1) - a)
-    at_b = np.where(ib > ia, padded[ib], 0) * (b - (lo + ib))
-    measure = inner + at_a + at_b
+    a = (levels - eps) * root_n
+    b = (levels + eps) * root_n
+    measure = np.interp(b, sites, below) - np.interp(a, sites, below)
     if k > full:
         theta = t * path.n - full
         x0, x1 = pos[full], pos[full + 1]
-        end = x0 + theta * (x1 - x0)
-        overlap = np.minimum(upper, max(x0, end)) - np.maximum(lower, min(x0, end))
-        measure += np.maximum(overlap, 0.0)
+        start = min(x0, x0 + theta * (x1 - x0))
+        measure += np.clip(b - start, 0.0, theta) - np.clip(a - start, 0.0, theta)
     return measure / (path.n * 2.0 * eps)
 
 

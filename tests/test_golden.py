@@ -29,13 +29,13 @@ GOLDEN = {
     ),
     "curve-band": (
         ("curve", "--estimator", "band"),
-        "36c145e1774e8b1dd365f6a645a4d66a64eb5c6a67f1c0e1d4c549a3c06ec75b",
+        "204263b1595043ce60db8797cf462f28cd720b80a3ea22135f02eacf96860219",
     ),
     # The two extremes of the band at n = 10**4: narrower than one lattice
     # step (0.01), and wider than the whole path, so every segment meets it.
     "curve-band-narrow": (
         ("curve", "--estimator", "band", "--eps", "0.005"),
-        "763594d92917f61b04b02bca10febbbbdcc48c29a61953f88860199f9bfe5525",
+        "18969c690bf740dba5432f8e0703f69f4825c04d8e3cbfff71a05053dfc1efcc",
     ),
     "curve-band-wide": (
         ("curve", "--estimator", "band", "--eps", "5"),
@@ -43,7 +43,7 @@ GOLDEN = {
     ),
     "profile-band": (
         ("profile", "--estimator", "band"),
-        "14c938c7335922008c9ccf562531ddbb7dcf88125dbdb15e79c5aed179ba8aa9",
+        "2a3735e8cca7b74173400d3dab26f85cedcfd972e3b641624a3394a0811e1971",
     ),
     "profile-occupation": (
         ("profile", "--estimator", "occupation"),
@@ -59,32 +59,32 @@ GOLDEN = {
     ),
     "profile-json": (
         ("profile", "--format", "json"),
-        "a290537a75038a8428b4be925ba5c9f332284e2ef4bed1ceac801db5572ef1d8",
+        "ff316508246fc012550c9447d82bd9c8e8b4bf60e0cbab67a1eb4847d3e95c37",
     ),
     "verify-density": (
         ("verify", "density", *SMALL_VERIFY),
-        "a86435543ea97359c7ef36cf2466438531d83de42b675cad52e96d8c00b5f912",
+        "392fc70c9410e8ad2951dd51818e3ca563c7d90328dbd45d6620177a54a7ae21",
     ),
     "verify-reversal": (
         ("verify", "reversal", *SMALL_VERIFY),
-        "9e8fe36b643567f0d68785f3bc5ecd3c5ce6d8bfa321ece8173a081a8045e413",
+        "5e518f7d6691ba19576f4b2a8a76a599d5248ade2b7d5658151c269cf92f872c",
     ),
     "verify-levy": (
         ("verify", "levy", *SMALL_VERIFY),
-        "40be569ffc05a60f24fa4295cbdf214b36bd931993617c66e6a06bf5863fb6c0",
+        "8e87f8c10180465816c3805540e89f3ff9046f0d6a5115deb7dbc336c6b102c8",
     ),
     "verify-signed": (
         ("verify", "signed", *SMALL_VERIFY),
-        "0e2ddb6451632181baca263e3e82f81c84c3c6eb2417e7e83d690c5855c5e1b7",
+        "033791267c69cee332244fe4aee8eef7202250b2752fe37b75c6bf144c750b8c",
     ),
     "verify-knight": (
         ("verify", "knight", *SMALL_VERIFY),
-        "a6eb40fe6de7731e39ceffdf9c1897200200c011c5844b4317edd86202f38216",
+        "19e306d1dc00ed5272308d13e92022b58a9f4822706b4db61227916b651e5fe8",
     ),
     # 200000 steps stream through three chunks, the last one partial.
     "verify-coverage": (
         ("verify", "coverage", "--n", "10000", "--budget", "200000"),
-        "9b67c3f53ea88a60a27383635bb906ab520064fbdf27a03b72f25b1582ff2e49",
+        "507b46ce6d04d601207a4bdaccb8981464f0546c41297360c1680ed145f064da",
     ),
 }
 
@@ -92,7 +92,7 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_output_matches_golden_hash(tmp_path, name):
     # The hashes above were recorded at this format version.
-    assert FORMAT_VERSION == 4
+    assert FORMAT_VERSION == 3
     argv, digest = GOLDEN[name]
     out = tmp_path / name
     main([*argv, "--seed", SEED, "-o", str(out)])

@@ -335,22 +335,9 @@ def test_band_local_time_never_decreases_in_time(case, later):
     t2 = t + later * (spath.horizon - t)
     before = band_local_time(spath, y, t, eps)
     after = band_local_time(spath, y, t2, eps)
-    # Each estimate is exact to a few ulps of itself, so the order holds up
-    # to that.
+    # A longer time sums more segments, so numpy's pairwise summation tree
+    # can change shape; the order holds up to a few ulps of the total.
     assert after >= before * (1 - 1e-13)
-
-
-def test_band_local_time_keeps_a_sub_ulp_band_edge():
-    # y - eps rounds to just below site 1, the path's top, which the partial
-    # segment at t = 11.5 and the two whole segments at t = 12 each meet for
-    # the same sliver: the estimate must not fall to 0 when t reaches 12.
-    positions = np.array([0, -1, -2, -1, 0, -1, -2, -1, 0, -1, 0, 1, 0])
-    spath = ScaledPath(n=1, positions=positions)
-    y, eps = 2.414213562373095, 1.4142135623730951
-    sliver = 1.0 - (y - eps)
-    before = band_local_time(spath, y, 11.5, eps)
-    after = band_local_time(spath, y, 12.0, eps)
-    assert before == after == pytest.approx(2 * sliver / (2 * eps), rel=1e-15)
 
 
 @st.composite
