@@ -63,28 +63,28 @@ GOLDEN = {
     ),
     "verify-density": (
         ("verify", "density", *SMALL_VERIFY),
-        "392fc70c9410e8ad2951dd51818e3ca563c7d90328dbd45d6620177a54a7ae21",
+        "cae0b23a84b4e2f0941d46a141141212b3184dab35cadfa30341775723d7022c",
     ),
     "verify-reversal": (
         ("verify", "reversal", *SMALL_VERIFY),
-        "5e518f7d6691ba19576f4b2a8a76a599d5248ade2b7d5658151c269cf92f872c",
+        "9e8fe36b643567f0d68785f3bc5ecd3c5ce6d8bfa321ece8173a081a8045e413",
     ),
     "verify-levy": (
         ("verify", "levy", *SMALL_VERIFY),
-        "8e87f8c10180465816c3805540e89f3ff9046f0d6a5115deb7dbc336c6b102c8",
+        "8f29d2b4a963bbae03a8de35c3ca41755fc612bd8e19c653cb16595df7121a94",
     ),
     "verify-signed": (
         ("verify", "signed", *SMALL_VERIFY),
-        "033791267c69cee332244fe4aee8eef7202250b2752fe37b75c6bf144c750b8c",
+        "0e2ddb6451632181baca263e3e82f81c84c3c6eb2417e7e83d690c5855c5e1b7",
     ),
     "verify-knight": (
         ("verify", "knight", *SMALL_VERIFY),
-        "19e306d1dc00ed5272308d13e92022b58a9f4822706b4db61227916b651e5fe8",
+        "65a3d9ac41c16aa3f9c224858f6deb3c425fc29772a0e6ff25aac7305e1f29e8",
     ),
     # 200000 steps stream through three chunks, the last one partial.
     "verify-coverage": (
         ("verify", "coverage", "--n", "10000", "--budget", "200000"),
-        "507b46ce6d04d601207a4bdaccb8981464f0546c41297360c1680ed145f064da",
+        "9b67c3f53ea88a60a27383635bb906ab520064fbdf27a03b72f25b1582ff2e49",
     ),
 }
 
@@ -92,7 +92,7 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_output_matches_golden_hash(tmp_path, name):
     # The hashes above were recorded at this format version.
-    assert FORMAT_VERSION == 3
+    assert FORMAT_VERSION == 4
     argv, digest = GOLDEN[name]
     out = tmp_path / name
     main([*argv, "--seed", SEED, "-o", str(out)])

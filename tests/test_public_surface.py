@@ -1,12 +1,17 @@
-"""Every name a module lists in ``__all__`` must exist in it.
+"""The package's public surface: its ``__all__`` names and its imports.
 
 A name left in ``__all__`` after its definition is deleted breaks
 ``from wallcurve.<module> import *`` and nothing else, so this checks the
-package and each submodule that declares ``__all__``.
+package and each submodule that declares ``__all__``.  The runtime needs
+numpy only, so a CLI run must not import scipy.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +31,23 @@ MODULES = [
 def test_all_names_resolve(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only.  A fresh interpreter catches lazy
+    # imports too, which an import inside this test process would hide.
+    code = (
+        "import sys\n"
+        "from wallcurve.cli import main\n"
+        "rc = main(['verify', 'density', '--n', '1000', '--replicates', '500',"
+        f" '-o', {str(tmp_path / 'density.json')!r}])\n"
+        "assert rc == 0, rc\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(wallcurve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

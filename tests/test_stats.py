@@ -7,7 +7,9 @@ from math import comb
 
 import numpy as np
 import pytest
-from scipy.special import kolmogorov
+from scipy.integrate import dblquad
+from scipy.special import chdtrc, kolmogorov, ndtri
+from scipy.stats import norm
 
 from wallcurve import (
     ExperimentConfig,
@@ -17,12 +19,16 @@ from wallcurve import (
     run_experiment,
     sample_exact,
 )
+from wallcurve import oracle
 from wallcurve.stats import (
     _bin_probabilities,
+    _chi2_sf,
+    _kolmogorov_sf,
     _ks_exact_pvalue,
     _merge_small_bins,
     _pearson,
     estimator_agreement,
+    quantile_bin_edges,
 )
 
 
@@ -82,6 +88,37 @@ def test_ks_hand_case():
 def test_ks_empty_sample_rejected():
     with pytest.raises(ValueError):
         ks_two_sample([], [1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ks_non_finite_sample_rejected(bad):
+    good = np.linspace(0.0, 1.0, 90)
+    with pytest.raises(ValueError, match="finite"):
+        ks_two_sample([0.1, bad, 0.3] * 30, good)
+    with pytest.raises(ValueError, match="finite"):
+        ks_two_sample(good, [bad])
+
+
+def test_kolmogorov_sf_matches_scipy():
+    # 0.011 is where a tail series used on the wrong side of x = 1 read 0.913.
+    xs = np.append(np.linspace(0.005, 3.5, 20_001), [0.011, 1.0, np.nextafter(1.0, 0.0)])
+    got = np.array([_kolmogorov_sf(float(x)) for x in xs])
+    np.testing.assert_allclose(got, kolmogorov(xs), rtol=0, atol=1e-14)
+    assert _kolmogorov_sf(0.011) == 1.0
+    assert _kolmogorov_sf(0.0) == 1.0
+    for x in (3.5, 5.0, 8.0):  # far tail, down to 5e-56
+        assert _kolmogorov_sf(x) == pytest.approx(kolmogorov(x), rel=1e-13, abs=0)
+
+
+def test_chi2_sf_matches_scipy():
+    # Most of the gap is scipy's: against 40-digit values the series here
+    # reads within 4e-16 relative at the worst points of this grid.
+    xs = np.geomspace(1e-4, 600.0, 400)
+    for dof in range(1, 144):
+        got = np.array([_chi2_sf(dof, float(x)) for x in xs])
+        np.testing.assert_allclose(got, chdtrc(dof, xs), rtol=2e-13, atol=0, err_msg=f"dof {dof}")
+    assert _chi2_sf(7, 0.0) == 1.0
+    assert _chi2_sf(143, 1e7) == 0.0  # underflows to 0, not NaN
 
 
 def test_ks_exact_pvalue_matches_enumeration():
@@ -192,15 +229,26 @@ def test_bin_probabilities_bytes_are_pinned():
     # hash moves only with a deliberate output format change.
     _, _, probs = _bin_probabilities(1.0)
     assert hashlib.sha256(probs.tobytes()).hexdigest() == (
-        "b7268dee01005a2fd9ddb97965b05c4f70b3266180105ecacca7529199aad0cd"
+        "e233e77fb675cca54a2c64229f841084f0a1383b6d3f55ae13ec50ef552a00b6"
     )
 
 
-def test_bin_probabilities_match_closed_form_cell():
-    # Independent algebra: integrate the density over one rectangle by
-    # reducing to Gaussian CDF differences.
-    from scipy.stats import norm
+@pytest.mark.parametrize("t", [1.0, 0.37])
+def test_bin_edges_match_ndtri(t):
+    y_edges, s_edges = quantile_bin_edges(t)
+    q = np.arange(1, 12) / 12
+    np.testing.assert_allclose(y_edges[1:-1], np.sqrt(t) * ndtri(q), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        s_edges[1:-1], np.sqrt(t) * ndtri((1 + q) / 2), rtol=0, atol=1e-15
+    )
+    # The density's kink at y = 0 must fall on an edge, exactly.
+    assert y_edges[6] == 0.0
+    assert s_edges[0] == 0.0
 
+
+def test_bin_probabilities_match_closed_form_cell():
+    # Independent algebra: integrate the density over each rectangle by
+    # reducing to Gaussian CDF differences.
     y_edges, s_edges, probs = _bin_probabilities(1.0)
 
     def cell_prob(a, b, c, d):
@@ -216,11 +264,28 @@ def test_bin_probabilities_match_closed_form_cell():
             return positive_part(-b, -a)
         return positive_part(0, -a) + positive_part(0, b)
 
-    for iy, js in [(0, 0), (6, 3), (11, 11), (3, 7)]:
+    for iy, js in np.ndindex(probs.shape):
         expected = cell_prob(
             y_edges[iy], y_edges[iy + 1], s_edges[js], s_edges[js + 1]
         )
-        assert probs[iy, js] == pytest.approx(expected, abs=1e-9)
+        assert probs[iy, js] == pytest.approx(expected, rel=0, abs=1e-15), (iy, js)
+
+
+@pytest.mark.parametrize("t", [1.0, 0.37])
+def test_bin_probabilities_match_adaptive_quadrature(t):
+    # The cells as first computed: one adaptive dblquad per cell.
+    y_edges, s_edges, probs = _bin_probabilities(t)
+    for iy, js in np.ndindex(probs.shape):
+        expected, _ = dblquad(
+            lambda s, y: oracle.joint_density(y, s, t),
+            y_edges[iy],
+            y_edges[iy + 1],
+            s_edges[js],
+            s_edges[js + 1],
+            epsabs=1e-10,
+            epsrel=1e-10,
+        )
+        assert probs[iy, js] == pytest.approx(expected, rel=0, abs=1e-15), (iy, js)
 
 
 def test_chi2_self_consistent_on_synthetic_multinomial():
@@ -250,6 +315,24 @@ def test_chi2_gross_mismatch_rejected():
 def test_chi2_requires_enough_samples():
     with pytest.raises(ValueError):
         chi2_gof_2d(np.zeros((100, 2)), 1.0)
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (0, np.nan, "finite"),
+        (1, np.nan, "finite"),
+        (0, -np.inf, "finite"),
+        (1, np.inf, "finite"),
+        (1, -3.0, ">= 0"),
+    ],
+)
+def test_chi2_rejects_bad_samples(column, value, message):
+    # Binning would clip these into edge cells and report a p-value.
+    samples = sample_exact(1.0, 2024, 2000)
+    samples[:5, column] = value
+    with pytest.raises(ValueError, match=message):
+        chi2_gof_2d(samples, 1.0)
 
 
 def test_chi2_passes_on_exact_sampler():
