@@ -48,8 +48,6 @@ _ASYMPTOTIC_KS_MIN = 50  # per-sample size from which the Kolmogorov tail holds
 _EXPECTED_FLOOR = 5.0
 _EDGE_TRUNCATION = 12.0  # outermost bin edge, in units of sqrt(t)
 _GOF_BINS = (12, 12)  # GOF grid: position bins, height bins
-# Gauss-Legendre rule applied on each axis of every GOF cell.
-_CELL_NODES, _CELL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +118,8 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     n1, n2 = len(a), len(b)
     if n1 == 0 or n2 == 0:
         raise ValueError("both samples must be non-empty")
-    # A NaN sorts last and counts in no empirical CDF, so it would skew D.
+    # A NaN sorts last and never enters its empirical CDF, which then stops
+    # short of 1 and skews D.
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("samples must be finite")
     merged = np.concatenate([a, b])
@@ -170,10 +169,11 @@ def _bin_probabilities(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cell masses to about 1e-16, in one density call for all cells.
     """
     y_edges, s_edges = quantile_bin_edges(t)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
 
     def rule(edges):
         half = np.diff(edges)[:, None] / 2.0
-        return edges[:-1, None] + half * (1.0 + _CELL_NODES), half * _CELL_WEIGHTS
+        return edges[:-1, None] + half * (1.0 + nodes), half * weights
 
     y, wy = rule(y_edges)
     s, ws = rule(s_edges)
