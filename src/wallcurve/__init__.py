@@ -31,7 +31,6 @@ from .scaling import (
     ScaledPath,
     band_local_time,
     default_band_width,
-    donsker_rescale,
     local_time_profile,
     occupation_local_time,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "coverage_check",
     "default_band_width",
     "discrete_brick_trace",
-    "donsker_rescale",
     "fill_order_check",
     "joint_density",
     "ks_two_sample",

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .curve import Window, build_trace, scale_trace
-from .scaling import _check_positive, _steps_for, donsker_rescale, local_time_profile
+from .scaling import ScaledPath, _check_positive, _steps_for, local_time_profile
 from .stats import EXPERIMENTS, ExperimentConfig, run_experiment
 from .walk import discrete_brick_trace, simulate_walk
 
@@ -50,14 +50,50 @@ def _dump_json(obj) -> Iterator[str]:
     yield "\n"
 
 
+def _int_cells(column: np.ndarray) -> np.ndarray:
+    """The decimal text of an integer column: one uint8 row per cell.
+
+    Each row is a sign column (``-`` or NUL) and the digits, right-aligned
+    and padded on the left with NUL bytes, which the caller drops.
+    """
+    magnitude = column.astype(np.uint64)  # |int64 min| fits in uint64
+    negative = column < 0
+    np.negative(magnitude, out=magnitude, where=negative)
+    top = int(magnitude.max(initial=0))
+    if top <= np.iinfo(np.uint32).max:
+        magnitude = magnitude.astype(np.uint32)
+    width = len(str(top))
+    cells = np.zeros((len(column), width + 1), np.uint8)
+    cells[negative, 0] = ord("-")
+    for j in range(width, 0, -1):
+        rest = magnitude // 10
+        digit = (magnitude - rest * 10).astype(np.uint8) + ord("0")
+        # A leading zero (no digits left, but not the units digit) is padding.
+        cells[:, j] = digit if j == width else np.where(magnitude > 0, digit, 0)
+        magnitude = rest
+    return cells
+
+
+def _int_rows(pieces: list[bytes], columns) -> bytes:
+    """Rows of integer cells between literal ``pieces``, NUL padding removed."""
+    n = len(columns[0])
+    parts = [np.broadcast_to(np.frombuffer(pieces[0], np.uint8), (n, len(pieces[0])))]
+    for column, piece in zip(columns, pieces[1:]):
+        parts.append(_int_cells(column))
+        parts.append(np.broadcast_to(np.frombuffer(piece, np.uint8), (n, len(piece))))
+    return np.concatenate(parts, axis=1).tobytes().replace(b"\0", b"")
+
+
 def _table(fmt: str, header: list[str], columns, stride: int = 1) -> Iterator[str]:
     """A table of numpy columns as text: one CSV row per index, or JSON records.
 
     Rows come from one ``%`` template built from the column dtypes (a JSON
     record lists its keys in sorted order, as ``json.dumps(sort_keys=True,
     indent=2)`` does) and are produced ``_BLOCK`` rows at a time, so memory
-    stays flat.  JSON has no token for a non-finite float, so a JSON table
-    holding one raises ``ValueError``.
+    stays flat.  A table of integer columns only is rendered by numpy
+    (:func:`_int_cells`) into the same bytes; any float column sends the
+    table through the template.  JSON has no token for a non-finite float,
+    so a JSON table holding one raises ``ValueError``.
     """
     columns = [c[::stride] for c in columns]
     if fmt == "json":
@@ -72,19 +108,35 @@ def _table(fmt: str, header: list[str], columns, stride: int = 1) -> Iterator[st
     else:
         template = ",".join(_CELL[c.dtype.kind] for c in columns) + "\n"
         head, sep, tail = ",".join(header) + "\n", "", ""
+    integer = all(c.dtype.kind in "iu" for c in columns)
+    # The kernel ends every row with ``sep``: a block cuts its last one, and
+    # the next block starts with it.
+    pieces = [p.encode() for p in (template + sep).split("%d")]
     yield head
     for start in range(0, len(columns[0]), _BLOCK):
-        rows = zip(*(c[start : start + _BLOCK].tolist() for c in columns))
-        yield (sep if start else "") + sep.join([template % row for row in rows])
+        block = [c[start : start + _BLOCK] for c in columns]
+        if integer:
+            text = _int_rows(pieces, block).decode().removesuffix(sep)
+        else:
+            text = sep.join([template % row for row in zip(*(c.tolist() for c in block))])
+        yield (sep if start else "") + text
     yield tail
 
 
 def _write(path: str | None, chunks: Iterable[str]) -> None:
-    """Write text chunks to ``path``, or to stdout when it is None or "-"."""
+    """Write text chunks to ``path``, or to stdout when it is None or "-".
+
+    The first chunk is taken before the file is opened, so an error raised
+    while a table is set up leaves an existing file as it was.
+    """
+    chunks = iter(chunks)
+    first = next(chunks, "")
     if path is None or path == "-":
+        sys.stdout.write(first)
         sys.stdout.writelines(chunks)
         return
     with open(path, "w", newline="\n") as out:
+        out.write(first)
         out.writelines(chunks)
 
 
@@ -108,7 +160,7 @@ def cmd_walk(args: argparse.Namespace) -> int:
 
 def cmd_curve(args: argparse.Namespace) -> int:
     _check_stride(args.stride)
-    path = donsker_rescale(simulate_walk(args.steps, args.seed), args.n)
+    path = ScaledPath(n=args.n, positions=simulate_walk(args.steps, args.seed))
     trace = build_trace(path, estimator=args.estimator, eps=args.eps)
     if args.c != 1.0 or args.d != 1.0:
         trace = scale_trace(trace, args.c, args.d)
@@ -120,11 +172,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     _check_positive("t", args.t)
-    path = simulate_walk(max(1, _steps_for(args.t, args.n)), args.seed)
+    sites = simulate_walk(max(1, _steps_for(args.t, args.n)), args.seed)
+    path = ScaledPath(n=args.n, positions=sites)
     levels = np.linspace(args.ymin, args.ymax, args.levels)
-    profile = local_time_profile(
-        donsker_rescale(path, args.n), args.t, levels, eps=args.eps, estimator=args.estimator
-    )
+    profile = local_time_profile(path, args.t, levels, eps=args.eps, estimator=args.estimator)
     columns = (profile.levels, profile.values)
     _write(args.output, _table(args.format, ["y", "local_time"], columns))
     return 0

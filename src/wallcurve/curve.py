@@ -130,12 +130,22 @@ def _check_factors(c: float, d: float) -> None:
 
 
 def scale_trace(trace: CurveTrace, c: float, d: float) -> CurveTrace:
-    """Scale positions by ``c`` and heights by ``d`` (area rate |c|*d)."""
+    """Scale positions by ``c`` and heights by ``d`` (area rate |c|*d).
+
+    A factor so large that a scaled level or height overflows to infinity
+    raises ``ValueError``.
+    """
     _check_factors(c, d)
+    with np.errstate(over="ignore"):
+        levels, heights = c * trace.levels, d * trace.heights
+    if not np.isfinite(levels).all():
+        raise ValueError(f"position factor c = {c} makes a level non-finite")
+    if not np.isfinite(heights).all():
+        raise ValueError(f"height factor d = {d} makes a height non-finite")
     return CurveTrace(
         times=trace.times,
-        levels=c * trace.levels,
-        heights=d * trace.heights,
+        levels=levels,
+        heights=heights,
         n=trace.n,
         estimator_tag=trace.estimator_tag,
     )

@@ -33,7 +33,6 @@ __all__ = [
     "ScaledPath",
     "LocalTimeProfile",
     "default_band_width",
-    "donsker_rescale",
     "band_local_time",
     "occupation_local_time",
     "local_time_profile",
@@ -96,11 +95,6 @@ class LocalTimeProfile:
     estimator_tag: str
     n: int
     eps: float | None = None
-
-
-def donsker_rescale(sites: np.ndarray, n: int) -> ScaledPath:
-    """Rescale a walk's sites by ``1/n`` in time and ``n**-0.5`` in space."""
-    return ScaledPath(n=n, positions=sites)
 
 
 def _check_finite(name: str, value: float) -> None:

@@ -22,10 +22,10 @@ import numpy as np
 from . import oracle
 from .curve import Window, _check_factors, coverage_check, wall_area
 from .scaling import (
+    ScaledPath,
     _check_positive,
     _steps_for,
     default_band_width,
-    donsker_rescale,
     local_time_profile,
 )
 from .walk import simulate_walk
@@ -388,7 +388,7 @@ def _ks_suite(a: np.ndarray, b: np.ndarray) -> dict[str, tuple[float, float]]:
 
 def _run_area(config: ExperimentConfig) -> TestReport:
     n_steps = max(1, _steps_for(config.t, config.n))
-    path = donsker_rescale(simulate_walk(n_steps, config.seed), config.n)
+    path = ScaledPath(n=config.n, positions=simulate_walk(n_steps, config.seed))
     area = wall_area(path, config.t, c=config.c, d=config.d)
     target = abs(config.c) * config.d * config.t
     statistic = abs(area - target)
@@ -474,7 +474,7 @@ def estimator_agreement(
         levels = np.linspace(-np.sqrt(t), np.sqrt(t), 101)
     root_n = np.sqrt(float(n))
     levels = np.unique(np.rint(np.asarray(levels) * root_n)) / root_n
-    path = donsker_rescale(simulate_walk(max(1, _steps_for(t, n)), seed), n)
+    path = ScaledPath(n=n, positions=simulate_walk(max(1, _steps_for(t, n)), seed))
     eps = 0.5 / root_n
     band = local_time_profile(path, t, levels, eps, "band")
     occ = local_time_profile(path, t, levels, None, "occupation")

@@ -12,11 +12,11 @@ import pytest
 from scipy import integrate
 
 from wallcurve import (
+    ScaledPath,
     Window,
     build_trace,
     chi2_gof_2d,
     coverage_check,
-    donsker_rescale,
     fill_order_check,
     joint_density,
     ks_two_sample,
@@ -53,7 +53,7 @@ def test_criterion_1_exact_area_law():
     n = 10**6
     worst = 0.0
     for seed in range(20):
-        spath = donsker_rescale(simulate_walk(n, seed=seed), n)
+        spath = ScaledPath(n=n, positions=simulate_walk(n, seed=seed))
         for t in (0.25, 0.5, 1.0):
             worst = max(worst, abs(wall_area(spath, t) - t) / t)
     elapsed = time.monotonic() - start
@@ -63,7 +63,7 @@ def test_criterion_1_exact_area_law():
 
 def test_criterion_2_scaled_area_law():
     n = 10**6
-    spath = donsker_rescale(simulate_walk(n, seed=SEED), n)
+    spath = ScaledPath(n=n, positions=simulate_walk(n, seed=SEED))
     worst = 0.0
     for c, d in [(2.0, 3.0), (-1.0, 0.5)]:
         for t in (0.5, 1.0):
@@ -126,7 +126,7 @@ def test_criterion_6_count_rescaling():
     # comparison is dominated by the sqrt(width) spatial roughness of local
     # time, so it sits far above the site-resolved gap reported above.
     n = 10**6
-    path = donsker_rescale(simulate_walk(n, seed=SEED), n)
+    path = ScaledPath(n=n, positions=simulate_walk(n, seed=SEED))
     levels = np.linspace(-1.0, 1.0, 101)
     band = local_time_profile(path, 1.0, levels, default_band_width(n), "band")
     occ_prof = local_time_profile(path, 1.0, levels, None, "occupation")
@@ -167,7 +167,7 @@ def test_criterion_8_fill_order():
         n_steps = 500 + (seed * 37) % 1500
         n = scales[seed % len(scales)]
         estimator = "band" if seed % 10 == 9 else "occupation"
-        path = donsker_rescale(simulate_walk(n_steps, seed=seed), n)
+        path = ScaledPath(n=n, positions=simulate_walk(n_steps, seed=seed))
         trace = build_trace(path, estimator=estimator, subsample=21)
         if fill_order_check(trace):
             _report(8, False, f"violations in trace for seed {seed}")

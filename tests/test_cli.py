@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wallcurve import cli
 from wallcurve.cli import _fmt, _table, main
@@ -214,6 +216,14 @@ def test_verify_config_out_of_range_exits_two(capsys, option, value, message):
         (("curve", "--d", "nan"), "height factor d must be finite, got nan"),
         (("verify", "area", "--t", "inf"), "t must be finite, got inf"),
         (("verify", "density", "--eps", "nan"), "eps must be finite, got nan"),
+        (
+            ("curve", "--steps", "100", "--n", "1", "--c", "1e308"),
+            "position factor c = 1e+308 makes a level non-finite",
+        ),
+        (
+            ("curve", "--steps", "100", "--n", "1", "--d", "1e308"),
+            "height factor d = 1e+308 makes a height non-finite",
+        ),
     ],
 )
 def test_non_finite_options_exit_two(capsys, argv, message):
@@ -223,21 +233,84 @@ def test_non_finite_options_exit_two(capsys, argv, message):
     assert f"error: {message}" in err
 
 
+_INT64_EDGES = [0, 1, -1, 9, -9, 10, -10, -(2**63), 2**63 - 1]
+_UINT64_EDGES = [0, 1, 9, 10, 99, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
 def test_json_table_matches_json_module(monkeypatch):
     # Records cross block boundaries; keys are out of order in the header.
+    # The mixed table goes through the % template, the integer one through
+    # the digit kernel.
     monkeypatch.setattr(cli, "_BLOCK", 3)
-    columns = (
+    mixed = (
         np.array([3, -1, 0, 7, 2, 5, 9], dtype=np.int64),
         np.array([0.1, -0.0, 1e-300, 2.0**-52, 1 / 3, 1e22, 123456.789]),
         np.arange(7, dtype=np.uint16),
     )
+    integer = (mixed[0], np.array(_INT64_EDGES[:7]), mixed[2])
     header = ["x", "h", "a"]
-    for stride in (1, 2, 7):
-        records = [
-            dict(zip(header, row)) for row in zip(*(c[::stride].tolist() for c in columns))
-        ]
-        expected = json.dumps(records, indent=2, sort_keys=True) + "\n"
-        assert "".join(_table("json", header, columns, stride)) == expected
+    for columns in (mixed, integer):
+        for stride in (1, 2, 7):
+            records = [
+                dict(zip(header, row)) for row in zip(*(c[::stride].tolist() for c in columns))
+            ]
+            expected = json.dumps(records, indent=2, sort_keys=True) + "\n"
+            assert "".join(_table("json", header, columns, stride)) == expected
+
+
+def _template_table(fmt, header, columns, stride):
+    """The reference for integer tables: every row through a ``%d`` template."""
+    columns = [c[::stride].tolist() for c in columns]
+    if fmt == "json":
+        header, columns = zip(*sorted(zip(header, columns), key=lambda col: col[0]))
+        record = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %d" for name in header) + "\n  }"
+        return "[\n" + ",\n".join(record % row for row in zip(*columns)) + "\n]\n"
+    row = ",".join(["%d"] * len(columns)) + "\n"
+    return ",".join(header) + "\n" + "".join(row % r for r in zip(*columns))
+
+
+@st.composite
+def _integer_columns(draw):
+    """1-4 int64 or uint64 columns of one length, edge values likely."""
+    n_rows = draw(st.integers(1, 20))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            values = st.sampled_from(_INT64_EDGES) | st.integers(-(2**63), 2**63 - 1)
+            dtype = np.int64
+        else:
+            values = st.sampled_from(_UINT64_EDGES) | st.integers(0, 2**64 - 1)
+            dtype = np.uint64
+        columns.append(np.array(draw(st.lists(values, min_size=n_rows, max_size=n_rows)), dtype))
+    return columns
+
+
+_EDGE_COLUMNS = [np.array(_INT64_EDGES), np.array(_UINT64_EDGES, np.uint64)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fmt=st.sampled_from(["csv", "json"]),
+    stride=st.sampled_from([1, 2, 7]),
+    columns=_integer_columns(),
+)
+@example(fmt="csv", stride=1, columns=_EDGE_COLUMNS)
+@example(fmt="json", stride=1, columns=_EDGE_COLUMNS)
+def test_integer_table_matches_template(fmt, stride, columns):
+    header = ["x", "h", "a", "k"][: len(columns)]
+    expected = _template_table(fmt, header, columns, stride)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BLOCK", 3)  # rows cross block boundaries
+        assert "".join(_table(fmt, header, columns, stride)) == expected
+
+
+def test_failed_table_leaves_existing_output_file(tmp_path):
+    out = tmp_path / "prev.json"
+    out.write_text("[]\n")
+    columns = (np.arange(3), np.array([0.0, np.inf, 1.0]))
+    with pytest.raises(ValueError, match="non-finite values in column 'h'"):
+        cli._write(str(out), _table("json", ["k", "h"], columns))
+    assert out.read_text() == "[]\n"
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

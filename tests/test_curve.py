@@ -10,7 +10,6 @@ from wallcurve import (
     band_local_time,
     build_trace,
     coverage_check,
-    donsker_rescale,
     fill_order_check,
     local_time_profile,
     occupation_local_time,
@@ -22,7 +21,7 @@ from wallcurve import (
 
 def _trace(n_steps, seed, n, **kwargs):
     """The curve of a seeded ``n_steps`` walk at scale ``n``."""
-    return build_trace(donsker_rescale(simulate_walk(n_steps, seed=seed), n), **kwargs)
+    return build_trace(ScaledPath(n=n, positions=simulate_walk(n_steps, seed=seed)), **kwargs)
 
 
 def test_build_trace_hand_case():
@@ -49,7 +48,7 @@ def test_build_trace_length_and_steps():
 
 
 def test_build_trace_band_estimator_subsamples():
-    spath = donsker_rescale(simulate_walk(500, seed=4), 500)
+    spath = ScaledPath(n=500, positions=simulate_walk(500, seed=4))
     trace = build_trace(spath, estimator="band", subsample=41)
     assert len(trace) == 41
     eps = 500**-0.25
@@ -85,7 +84,7 @@ def test_scale_trace_rejects_degenerate_factors():
 def test_zero_step_path_at_time_zero():
     # A walk of zero steps is its starting site: at t = 0 the band holds no
     # time, the wall is the one block at the origin and the area is 0.
-    path = donsker_rescale(simulate_walk(0, seed=3), 100)
+    path = ScaledPath(n=100, positions=simulate_walk(0, seed=3))
     levels = np.array([-0.1, 0.0, 0.1])
     band = local_time_profile(path, 0.0, levels, estimator="band").values
     occupation = local_time_profile(path, 0.0, levels, estimator="occupation").values
@@ -101,13 +100,13 @@ def test_zero_step_path_at_time_zero():
 
 
 def test_wall_area_zero_time():
-    spath = donsker_rescale(simulate_walk(100, seed=1), 100)
+    spath = ScaledPath(n=100, positions=simulate_walk(100, seed=1))
     assert wall_area(spath, 0.0) == 0.0
 
 
 def test_wall_area_matches_elapsed_time():
     n = 10**5
-    spath = donsker_rescale(simulate_walk(n, seed=6), n)
+    spath = ScaledPath(n=n, positions=simulate_walk(n, seed=6))
     for t in (0.25, 0.5, 1.0):
         area = wall_area(spath, t)
         assert abs(area - t) <= 10 * np.finfo(float).eps * n
@@ -115,14 +114,14 @@ def test_wall_area_matches_elapsed_time():
 
 def test_wall_area_linear_at_knot_times():
     n = 1000
-    spath = donsker_rescale(simulate_walk(n, seed=7), n)
+    spath = ScaledPath(n=n, positions=simulate_walk(n, seed=7))
     for k in (1, 17, 500, 1000):
         assert abs(wall_area(spath, k / n) - k / n) <= 10 * np.finfo(float).eps * k
 
 
 def test_wall_area_scales_by_rate():
     n = 10**4
-    spath = donsker_rescale(simulate_walk(n, seed=8), n)
+    spath = ScaledPath(n=n, positions=simulate_walk(n, seed=8))
     t = 1.0
     for c, d in [(2.0, 3.0), (-1.0, 0.5)]:
         target = abs(c) * d * t
@@ -130,7 +129,7 @@ def test_wall_area_scales_by_rate():
 
 
 def test_wall_area_argument_errors():
-    spath = donsker_rescale(simulate_walk(10, seed=0), 10)
+    spath = ScaledPath(n=10, positions=simulate_walk(10, seed=0))
     with pytest.raises(ValueError):
         wall_area(spath, 2.0)
     with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from wallcurve import (
     ScaledPath,
     band_local_time,
     default_band_width,
-    donsker_rescale,
     ks_two_sample,
     local_time_profile,
     occupation_field,
@@ -35,11 +34,11 @@ def _knots(path):
 
 
 def test_rescale_identity_scale():
-    assert _knots(donsker_rescale(np.array([0, 1]), 1)) == [(0.0, 0.0), (1.0, 1.0)]
+    assert _knots(ScaledPath(n=1, positions=np.array([0, 1]))) == [(0.0, 0.0), (1.0, 1.0)]
 
 
 def test_rescale_hand_case():
-    assert _knots(donsker_rescale(np.array([0, 1, 0, -1]), 4)) == [
+    assert _knots(ScaledPath(n=4, positions=np.array([0, 1, 0, -1]))) == [
         (0.0, 0.0),
         (0.25, 0.5),
         (0.5, 0.0),
@@ -49,7 +48,7 @@ def test_rescale_hand_case():
 
 def test_rescale_rejects_bad_scale():
     with pytest.raises(ValueError):
-        donsker_rescale(simulate_walk(5, seed=0), 0)
+        ScaledPath(n=0, positions=simulate_walk(5, seed=0))
 
 
 def test_band_local_time_flat_path():
@@ -57,7 +56,7 @@ def test_band_local_time_flat_path():
     # -1, a scale below 1 and a path without a site cannot be built.  A walk
     # of zero steps can, and every estimate on it is taken at t = 0.
     with pytest.raises(ValueError, match="steps must be"):
-        donsker_rescale(np.array([0, 2, 1]), 1)
+        ScaledPath(n=1, positions=np.array([0, 2, 1]))
     with pytest.raises(ValueError, match="steps must be"):
         ScaledPath(n=1, positions=np.array([0, 0]))
     with pytest.raises(ValueError, match="n must be >= 1"):
@@ -77,7 +76,7 @@ def test_scaled_path_rejects_non_integer_array_positions(positions):
 
 
 def _one_step_path():
-    return donsker_rescale(np.array([0, 1]), 1)
+    return ScaledPath(n=1, positions=np.array([0, 1]))
 
 
 def test_band_local_time_single_segment_clip():
@@ -94,7 +93,7 @@ def test_band_local_time_argument_errors():
 
 
 def test_band_local_time_monotone_in_time():
-    spath = donsker_rescale(simulate_walk(600, seed=8), 600)
+    spath = ScaledPath(n=600, positions=simulate_walk(600, seed=8))
     eps = default_band_width(600)
     for y in (-0.4, 0.0, 0.3):
         values = [band_local_time(spath, y, t, eps) for t in np.linspace(0, 1, 9)]
@@ -110,7 +109,7 @@ def test_snap_level_ties_toward_zero():
 
 
 def test_occupation_local_time_initial_block():
-    path = donsker_rescale(simulate_walk(100, seed=1), 100)
+    path = ScaledPath(n=100, positions=simulate_walk(100, seed=1))
     assert occupation_local_time(path, 0.0, 0.0) == pytest.approx(0.1)
 
 
@@ -131,7 +130,7 @@ def test_occupation_local_time_bounds():
 
 
 def test_profile_grid_validation():
-    spath = donsker_rescale(simulate_walk(20, seed=0), 20)
+    spath = ScaledPath(n=20, positions=simulate_walk(20, seed=0))
     with pytest.raises(ValueError):
         local_time_profile(spath, 0.5, [])
     with pytest.raises(ValueError):
@@ -141,7 +140,7 @@ def test_profile_grid_validation():
 
 
 def test_profile_at_time_zero():
-    spath = donsker_rescale(simulate_walk(100, seed=6), 100)
+    spath = ScaledPath(n=100, positions=simulate_walk(100, seed=6))
     levels = np.linspace(-1, 1, 21)
     band = local_time_profile(spath, 0.0, levels, estimator="band")
     assert np.all(band.values == 0.0)
@@ -153,7 +152,7 @@ def test_profile_at_time_zero():
 
 
 def test_profile_vanishes_outside_path_range():
-    spath = donsker_rescale(simulate_walk(500, seed=9), 500)
+    spath = ScaledPath(n=500, positions=simulate_walk(500, seed=9))
     eps = 0.2
     hi = _knot_values(spath).max() + eps
     lo = _knot_values(spath).min() - eps
@@ -193,7 +192,7 @@ def test_occupation_local_time_snaps_ties_toward_zero():
 def test_band_profile_matches_direct_clipping():
     # Lattice-edge counts against clipping every segment against the band.
     for seed, t in [(11, 0.9), (12, 1.0), (13, 0.37)]:
-        spath = donsker_rescale(simulate_walk(2000, seed=seed), 2000)
+        spath = ScaledPath(n=2000, positions=simulate_walk(2000, seed=seed))
         eps = default_band_width(2000)
         levels = np.linspace(-1.5, 1.5, 77)
         profile = local_time_profile(spath, t, levels, eps, "band").values
@@ -205,7 +204,7 @@ def test_band_sliver_past_a_knot_is_dropped():
     # t lies 1e-9 of a step past knot 13, within the round-off of t = k/n:
     # point and profile both stop at the knot, where the band holds 1 of 2.
     positions = np.array([0, -1, -2, -1, -2, -3, -4, -5, -4, -3, -2, -1, -2, -1, 0])
-    spath = donsker_rescale(positions, 1)
+    spath = ScaledPath(n=1, positions=positions)
     t = 13.000000001
     point = band_local_time(spath, 0.0, t, 1.0)
     profile = local_time_profile(spath, t, [0.0], 1.0, "band").values[0]
@@ -214,7 +213,7 @@ def test_band_sliver_past_a_knot_is_dropped():
 
 def test_band_profile_integrates_to_elapsed_time():
     # Trapezoid rule on a grid finer than eps/4 recovers t to 1e-3 relative.
-    spath = donsker_rescale(simulate_walk(2000, seed=11), 2000)
+    spath = ScaledPath(n=2000, positions=simulate_walk(2000, seed=11))
     eps = default_band_width(2000)
     t = 0.9
     values = _knot_values(spath)
@@ -226,7 +225,7 @@ def test_band_profile_integrates_to_elapsed_time():
 def test_occupation_profile_mass_identity():
     # Summing site counts over the lattice gives (m + 1) / n exactly.
     n = 2000
-    path = donsker_rescale(simulate_walk(n, seed=11), n)
+    path = ScaledPath(n=n, positions=simulate_walk(n, seed=11))
     sites = np.arange(path.positions.min(), path.positions.max() + 1)
     levels = sites / np.sqrt(n)
     prof = local_time_profile(path, 1.0, levels, estimator="occupation")
@@ -235,7 +234,7 @@ def test_occupation_profile_mass_identity():
 
 
 def test_profile_monotone_in_time_per_level():
-    path = donsker_rescale(simulate_walk(800, seed=14), 800)
+    path = ScaledPath(n=800, positions=simulate_walk(800, seed=14))
     levels = np.linspace(-1, 1, 31)
     eps = default_band_width(800)
     prev_band = np.zeros_like(levels)
@@ -249,7 +248,7 @@ def test_profile_monotone_in_time_per_level():
 
 
 def test_profile_mirror_symmetry():
-    path = donsker_rescale(simulate_walk(600, seed=15), 600)
+    path = ScaledPath(n=600, positions=simulate_walk(600, seed=15))
     mirrored = ScaledPath(n=600, positions=-path.positions)
     levels = np.linspace(-1.2, 1.2, 49)  # symmetric grid
     eps = default_band_width(600)
@@ -293,7 +292,7 @@ def walk_paths(draw):
     """A rescaled walk; its lattice step in space is ``n**-0.5``."""
     n_steps = draw(st.integers(1, 400))
     n = draw(st.integers(1, 2 * n_steps))
-    spath = donsker_rescale(simulate_walk(n_steps, draw(st.integers(0, 2**32))), n)
+    spath = ScaledPath(n=n, positions=simulate_walk(n_steps, draw(st.integers(0, 2**32))))
     return spath, 1.0 / np.sqrt(n)
 
 
@@ -351,7 +350,7 @@ def profile_cases(draw):
     """
     n_steps = draw(st.integers(1, 300))
     n = draw(st.integers(1, 400))
-    spath = donsker_rescale(simulate_walk(n_steps, draw(st.integers(0, 2**32))), n)
+    spath = ScaledPath(n=n, positions=simulate_walk(n_steps, draw(st.integers(0, 2**32))))
     k = draw(st.integers(0, n_steps))
     frac = draw(st.sampled_from([0.0]) | st.floats(0.0, 1.0)) if k < n_steps else 0.0
     t = draw(st.sampled_from([(k + frac) / n]) | st.floats(0.0, 1.0 / n))
