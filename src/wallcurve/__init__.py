@@ -46,7 +46,6 @@ from .walk import (
     BlockTrace,
     OccupationField,
     discrete_brick_trace,
-    occupation_field,
     simulate_walk,
     stream,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "marginal_height",
     "marginal_level",
     "mean_height",
-    "occupation_field",
     "occupation_local_time",
     "reflection_tail",
     "run_experiment",

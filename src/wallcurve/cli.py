@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Iterable, Iterator
 
@@ -40,14 +41,10 @@ _JSON_CELL = {**_CELL, "f": "%r"}
 _BLOCK = 1 << 16  # table rows formatted per write
 
 
-def _fmt(value) -> str:
-    """One table cell, formatted by its dtype as :func:`_table` formats columns."""
-    return _CELL[np.asarray(value).dtype.kind] % value
-
-
 def _dump_json(obj) -> Iterator[str]:
-    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
-    yield "\n"
+    # Encoded whole, so a non-finite value (no JSON token) raises before any
+    # byte is written.
+    yield json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _int_cells(column: np.ndarray) -> np.ndarray:
@@ -208,8 +205,21 @@ def _add_common(p: argparse.ArgumentParser, formats: bool = True) -> None:
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads ``-1e308`` as a number, as it reads ``-1``.
+
+    argparse's own negative-number pattern has no exponent, so it takes
+    ``--c -1e308`` for an option with no value.  Subcommand parsers are
+    built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wallcurve",
         description="Random-walk wall simulation and statistical verification",
     )

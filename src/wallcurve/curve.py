@@ -159,6 +159,8 @@ def wall_area(path: ScaledPath, t: float, c: float = 1.0, d: float = 1.0) -> flo
     integrates to ``2*eps`` over levels).  The closed-form accumulation is
     therefore the sum of segment durations, scaled by ``|c| * d``; only
     floating-point rounding separates the result from ``|c| * d * t``.
+    Factors so large that the area overflows to infinity raise
+    ``ValueError``, as in :func:`scale_trace`.
     """
     _check_factors(c, d)
     _check_time(t, path.horizon)
@@ -168,7 +170,9 @@ def wall_area(path: ScaledPath, t: float, c: float = 1.0, d: float = 1.0) -> flo
     durations = np.full(k, 1.0 / path.n)
     if k / path.n > t:
         durations[-1] = max(t - (k - 1) / path.n, 0.0)
-    return abs(c) * d * float(durations.sum())
+    area = abs(c) * d * float(durations.sum())
+    _check_finite(f"area of factors c = {c}, d = {d}", area)
+    return area
 
 
 def fill_order_check(trace: CurveTrace) -> list[tuple[int, int]]:

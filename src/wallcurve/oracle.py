@@ -30,10 +30,12 @@ finite-difference replay of the reflection-principle derivation.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .scaling import _check_positive, _steps_for
-from .walk import stream, walk_sites
+from .walk import _up_bits, stream
 
 __all__ = [
     "joint_density",
@@ -52,6 +54,8 @@ __all__ = [
 IDENTITY_SIDES = ("lhs", "reversal", "levy", "signed")
 _WALK_DOMAIN = {"lhs": 0, "reversal": 1, "levy": 2, "signed": 2}
 _SIGN_DOMAIN = 3
+#: Raw words drawn per block of replicates: the sampler's memory cap.
+_BLOCK_WORDS = 1 << 16
 
 
 def joint_density(y, s, t: float):
@@ -152,6 +156,12 @@ def sample_identity_pair(
     ``lhs``, ``reversal`` and ``levy`` use disjoint generator domains, so
     any two of those sides are independent; ``signed`` deliberately reuses
     the ``levy`` walk.
+
+    The site array is never built.  Replicates are drawn in blocks of about
+    ``_BLOCK_WORDS`` raw words (one row per replicate, so memory stays
+    O(m) at any ``replicates``), their up-steps packed eight to a byte, and
+    each statistic reduced from :func:`_byte_tables` lookups plus one
+    running sum per byte.
     """
     _check_positive("t", t)
     if n < 1:
@@ -161,24 +171,76 @@ def sample_identity_pair(
     if side not in IDENTITY_SIDES:
         raise ValueError(f"unknown side {side!r}, expected one of {IDENTITY_SIDES}")
     m = max(1, _steps_for(t, n))
+    words = (m + 1) // 2  # a fresh stream has no pending half-word
+    rows = min(replicates, max(1, _BLOCK_WORDS // words))
+    raw = np.empty((rows, words), dtype=np.uint64)
+    n_bytes = (m + 7) // 8
+    # Table row of each byte: 256 * (steps in the byte), the last one partial.
+    base = np.full(n_bytes, 256 * 8)
+    base[-1] = 256 * (m - 8 * (n_bytes - 1))
+    net, peak, hits = _byte_tables()
     domain = _WALK_DOMAIN[side]
     out = np.empty((replicates, 2))
-    # One replicate at a time, reduced at once: memory stays O(m).
-    for r in range(replicates):
-        pos = walk_sites(stream(seed, r, domain=domain), m)
-        end = pos[-1]
+    for lo in range(0, replicates, rows):
+        block = raw[: min(rows, replicates - lo)]
+        for i in range(len(block)):
+            block[i] = stream(seed, lo + i, domain=domain).bit_generator.random_raw(words)
+        code = base + np.packbits(_up_bits(block)[:, :m], axis=1, bitorder="little")
+        step = net[code]
+        start = np.cumsum(step, axis=1)
+        end = start[:, -1].copy()
+        start -= step  # each byte's first site
+        pairs = out[lo : lo + len(block)]
         if side == "lhs":
-            out[r] = end, np.count_nonzero(pos == end)
+            pairs[:, 0] = end
+            pairs[:, 1] = (end == 0) + _hits_at(hits, code, end[:, None] - start)
         elif side == "reversal":
-            out[r] = end, np.count_nonzero(pos == 0)
+            pairs[:, 0] = end
+            pairs[:, 1] = 1 + _hits_at(hits, code, -start)  # 1: the visit at time 0
         else:
-            run_max = pos.max()
-            out[r] = run_max - end, run_max
+            run_max = np.maximum((start + peak[code]).max(axis=1), 0)
+            pairs[:, 0] = run_max - end
+            pairs[:, 1] = run_max
     out /= np.sqrt(float(n))
     if side == "signed":
-        # A fair sign is the one step of a one-step walk.
-        out[:, 0] *= np.array(
-            [walk_sites(stream(seed, r, domain=_SIGN_DOMAIN), 1)[1] for r in range(replicates)],
-            dtype=float,
-        )
+        # A fair sign is the one step of a one-step walk: the low half of the
+        # first word of the replicate's sign stream.
+        first = [
+            stream(seed, r, domain=_SIGN_DOMAIN).bit_generator.random_raw()
+            for r in range(replicates)
+        ]
+        out[:, 0] *= np.where(_up_bits(np.array(first, dtype=np.uint64))[::2], 1.0, -1.0)
     return out
+
+
+def _hits_at(hits: np.ndarray, code: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Per row, the steps that land ``offset`` sites from their byte's first site.
+
+    ``offset`` is overwritten: it is turned into the flat table index in place.
+    """
+    np.clip(offset, -9, 9, out=offset)
+    offset += 19 * code + 9
+    return hits[offset].sum(axis=1)
+
+
+@functools.cache
+def _byte_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables of a walk's bytes of packed up-steps, indexed by ``256 * L + byte``.
+
+    A byte holds ``L`` in 1..8 steps, the first in its lowest bit.  Relative
+    to the byte's first site the tables give the net displacement, the
+    highest site reached, and the visits to each offset -9..9 (19 entries
+    per byte, flat; the ones at +-9 stay zero, so a clipped offset counts
+    nothing).
+    """
+    byte = np.arange(256)
+    sites = np.cumsum(2 * ((byte[:, None] >> np.arange(8)) & 1) - 1, axis=1)
+    net = np.zeros((9, 256), dtype=np.int8)
+    peak = np.zeros((9, 256), dtype=np.int8)
+    hits = np.zeros((9, 256, 19), dtype=np.int8)
+    for steps in range(1, 9):
+        prefix = sites[:, :steps]
+        net[steps] = prefix[:, -1]
+        peak[steps] = prefix.max(axis=1)
+        hits[steps] = (prefix[:, :, None] == np.arange(-9, 10)).sum(axis=1)
+    return net.ravel(), peak.ravel(), hits.ravel()

@@ -23,6 +23,7 @@ from . import oracle
 from .curve import Window, _check_factors, coverage_check, wall_area
 from .scaling import (
     ScaledPath,
+    _check_finite,
     _check_positive,
     _steps_for,
     default_band_width,
@@ -391,6 +392,7 @@ def _run_area(config: ExperimentConfig) -> TestReport:
     path = ScaledPath(n=config.n, positions=simulate_walk(n_steps, config.seed))
     area = wall_area(path, config.t, c=config.c, d=config.d)
     target = abs(config.c) * config.d * config.t
+    _check_finite(f"target area of factors c = {config.c}, d = {config.d}", target)
     statistic = abs(area - target)
     tol = _AREA_RTOL * target
     return TestReport(

@@ -11,11 +11,12 @@ generator keyed by ``(seed, replicate)``.  Replicates are therefore
 independent, reproducible, and order-insensitive: they can be generated in
 any order (or concurrently) and merged by replicate index.
 
-This module is the only one that draws steps (:func:`walk_sites`) or counts
-blocks (:meth:`OccupationField.drop`, the streaming wall).  Philox draws do
-not depend on how they are chunked, so a walk extended chunk by chunk from
-one generator, and a wall fed chunk by chunk, match the one-shot versions
-exactly.
+This module is the only one that turns random words into steps
+(:func:`_up_bits`, read by :func:`walk_sites` and the identity sampler) or
+counts blocks (:meth:`OccupationField.drop`, the streaming wall).  Philox
+draws do not depend on how they are chunked, so a walk extended chunk by
+chunk from one generator, and a wall fed chunk by chunk, match the one-shot
+versions exactly.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class OccupationField:
 
     min_site: int = 0
     counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    total: int = 0
 
     def drop(self, sites: np.ndarray) -> tuple[OccupationField, np.ndarray]:
         """Drop one block on each of ``sites``, in order.
@@ -74,7 +74,7 @@ class OccupationField:
         idx = sites - lo
         heights = counts[idx] + _running_visit_rank(idx)
         counts += np.bincount(idx, minlength=len(counts))
-        return OccupationField(min_site=lo, counts=counts, total=self.total + len(sites)), heights
+        return OccupationField(min_site=lo, counts=counts), heights
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,16 @@ class BlockTrace:
     sites: np.ndarray
     heights: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.steps)
+
+def _up_bits(words: np.ndarray) -> np.ndarray:
+    """The up-steps in raw 64-bit Philox words, two per word, as booleans.
+
+    The one bit rule: a step goes up when bit 31 of its 32-bit half is set,
+    low half first (the ``int32`` view is low half first on a little-endian
+    host), which is the bit ``rng.integers(0, 2)`` reads.  The last axis
+    doubles in length.
+    """
+    return words.view(np.int32) < 0
 
 
 def walk_sites(rng: np.random.Generator, n_steps: int, start: int = 0) -> np.ndarray:
@@ -101,12 +109,10 @@ def walk_sites(rng: np.random.Generator, n_steps: int, start: int = 0) -> np.nda
     caller-built :func:`stream`).  Continuing from the last site with the
     same generator extends the walk exactly as one longer call would.
 
-    The bits are those ``rng.integers(0, 2)`` would give: bit 31 of each
-    32-bit half of a raw 64-bit word, low half first.  Whole words are read
-    raw, two steps each (the ``uint32`` view is low half first on a
-    little-endian host).  A half-word left pending by an earlier draw, and
-    an odd last step, go through ``integers``, so the generator is left as
-    ``integers`` would leave it.
+    The bits are those ``rng.integers(0, 2)`` would give (:func:`_up_bits`).
+    Whole words are read raw, two steps each.  A half-word left pending by
+    an earlier draw, and an odd last step, go through ``integers``, so the
+    generator is left as ``integers`` would leave it.
     """
     sites = np.empty(n_steps + 1, dtype=np.int64)
     sites[0] = start
@@ -115,7 +121,7 @@ def walk_sites(rng: np.random.Generator, n_steps: int, start: int = 0) -> np.nda
         bits[0] = rng.integers(0, 2, dtype=np.int64)
         bits = bits[1:]
     words, odd = divmod(len(bits), 2)
-    bits[: 2 * words] = rng.bit_generator.random_raw(words).view(np.uint32) >> 31
+    bits[: 2 * words] = _up_bits(rng.bit_generator.random_raw(words))
     if odd:
         bits[-1] = rng.integers(0, 2, dtype=np.int64)
     steps = sites[1:]
@@ -132,19 +138,6 @@ def simulate_walk(n_steps: int, seed: int) -> np.ndarray:
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     return walk_sites(stream(seed, 0, domain=0), n_steps)
-
-
-def occupation_field(sites: np.ndarray, up_to_step: int | None = None) -> OccupationField:
-    """Count blocks per site over ``sites[0 .. up_to_step]`` inclusive.
-
-    The initial block at site 0 counts, so the total is ``up_to_step + 1``.
-    """
-    n_steps = len(sites) - 1
-    if up_to_step is None:
-        up_to_step = n_steps
-    if up_to_step < 0 or up_to_step > n_steps:
-        raise ValueError(f"up_to_step must be in [0, {n_steps}], got {up_to_step}")
-    return OccupationField().drop(sites[: up_to_step + 1])[0]
 
 
 def _running_visit_rank(idx: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wallcurve import cli
-from wallcurve.cli import _fmt, _table, main
+from wallcurve.cli import _CELL, _table, main
 
 
 def run_cli(capsys, *args):
@@ -60,7 +60,7 @@ def test_csv_round_trip_is_byte_identical(tmp_path):
     assert header == ["t", "x", "h"]
     rebuilt = [",".join(header)]
     for row in reader:
-        rebuilt.append(",".join(_fmt(float(v)) for v in row))
+        rebuilt.append(",".join(_CELL["f"] % float(v) for v in row))
     assert "\n".join(rebuilt) + "\n" == text
 
 
@@ -165,6 +165,31 @@ def test_invalid_parameters_exit_two(capsys):
     assert "error: t must be > 0, got -1.0" in err
 
 
+def test_area_overflow_exits_two(capsys):
+    # |c| * d overflows: the area is not a finite number, so it is bad input.
+    code, out, err = run_cli(capsys, "verify", "area", "--c", "1e308", "--d", "1e308", "--n", "100")
+    assert (code, out) == (2, "")
+    assert "area of factors c = 1e+308, d = 1e+308 must be finite" in err
+
+
+def test_report_json_rejects_non_finite_numbers():
+    with pytest.raises(ValueError):
+        list(cli._dump_json({"statistic": float("nan")}))
+
+
+@pytest.mark.parametrize("c", ["-1e3", "-2.5E-1", "-.5e+1"])
+def test_negative_factor_in_exponent_form_is_a_value(capsys, c):
+    args = ["curve", "--steps", "10", "--n", "1"]
+    _, joined, _ = run_cli(capsys, *args, f"--c={c}")
+    code, spaced, err = run_cli(capsys, *args, "--c", c)
+    assert (code, err) == (0, "")
+    assert spaced == joined
+    # A value that overflows a level is read too, and rejected as such.
+    code, _, err = run_cli(capsys, *args, "--c", "-1e308")
+    assert code == 2
+    assert "position factor c = -1e+308 makes a level non-finite" in err
+
+
 def test_unwritable_output_exits_two(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "walk", "--steps", "1", "-o", str(tmp_path / "missing" / "x.csv")
@@ -175,8 +200,8 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
 
 def test_float_formatting_round_trips():
     for x in (0.25, 1 / 3, 1e-17, 123456.789012345678, 2.0**-52):
-        assert float(_fmt(x)) == x
-        assert _fmt(float(_fmt(x))) == _fmt(x)
+        assert float(_CELL["f"] % x) == x
+        assert _CELL["f"] % float(_CELL["f"] % x) == _CELL["f"] % x
 
 
 @pytest.mark.parametrize("command", [["walk", "--steps", "4"], ["curve", "--steps", "4", "--n", "4"]])

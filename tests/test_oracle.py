@@ -1,9 +1,12 @@
 """Closed-form fixed-time laws and the identity-chain samplers."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from wallcurve import (
@@ -12,10 +15,14 @@ from wallcurve import (
     marginal_height,
     marginal_level,
     mean_height,
+    oracle,
     reflection_tail,
     sample_exact,
     sample_identity_pair,
+    stream,
 )
+from wallcurve.oracle import IDENTITY_SIDES
+from wallcurve.walk import walk_sites
 
 
 def test_joint_density_values():
@@ -185,6 +192,51 @@ def test_signed_side_with_forced_plus_signs_equals_levy():
 def test_heights_count_initial_block():
     pairs = sample_identity_pair(1.0, 3, 400, "lhs", replicates=50)
     assert np.all(pairs[:, 1] >= 1 / np.sqrt(400))
+
+
+def _reference_identity_pair(seed: int, m: int, side: str, replicates: int) -> np.ndarray:
+    """The sampler as a loop over whole site arrays, one replicate at a time.
+
+    Each side walks on its own counter domain (lhs 0, reversal 1, levy 2;
+    signed reuses the levy walk and draws its signs on domain 3).  The
+    visit counts include the walk's site at time 0.
+    """
+    domain = {"lhs": 0, "reversal": 1, "levy": 2, "signed": 2}[side]
+    pairs = []
+    for r in range(replicates):
+        sites = walk_sites(stream(seed, r, domain=domain), m)
+        end = sites[-1]
+        if side == "lhs":
+            pair = [end, np.count_nonzero(sites == end)]
+        elif side == "reversal":
+            pair = [end, np.count_nonzero(sites == 0)]
+        else:
+            top = sites.max()
+            pair = [top - end, top]
+        if side == "signed":
+            pair[0] *= walk_sites(stream(seed, r, domain=3), 1)[1]
+        pairs.append(pair)
+    return np.array(pairs, dtype=float) / np.sqrt(float(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    side=st.sampled_from(IDENTITY_SIDES),
+    m=st.integers(1, 40),
+    replicates=st.integers(1, 12),
+    block_words=st.integers(1, 48),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(side="lhs", m=1, replicates=3, block_words=1, seed=0)
+@example(side="reversal", m=8, replicates=5, block_words=8, seed=1)
+@example(side="levy", m=17, replicates=7, block_words=27, seed=2)
+@example(side="signed", m=40, replicates=12, block_words=48, seed=3)
+def test_identity_sampler_equals_per_replicate_walks(side, m, replicates, block_words, seed):
+    # A small block cap splits the replicates into blocks, the last one
+    # partial; m covers walks under one byte, whole bytes and odd lengths.
+    with mock.patch.object(oracle, "_BLOCK_WORDS", block_words):
+        pairs = sample_identity_pair(1.0, seed, m, side, replicates)
+    assert np.array_equal(pairs, _reference_identity_pair(seed, m, side, replicates))
 
 
 def test_exact_sampler_matches_model_moments():

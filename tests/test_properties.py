@@ -70,7 +70,7 @@ def test_chunked_drops_equal_one_drop(seed, n_steps, data):
         heights.append(h)
     assert np.array_equal(np.concatenate(heights), whole_heights)
     assert wall.min_site == whole.min_site
-    assert wall.total == whole.total == n_steps + 1
+    assert wall.counts.sum() == whole.counts.sum() == n_steps + 1
     assert np.array_equal(wall.counts, whole.counts)
 
 

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallcurve import (
+    OccupationField,
     ScaledPath,
     band_local_time,
     default_band_width,
     ks_two_sample,
     local_time_profile,
-    occupation_field,
     occupation_local_time,
     sample_identity_pair,
     simulate_walk,
@@ -380,7 +380,7 @@ def test_occupation_profile_equals_point_counts(case):
     profile = local_time_profile(spath, t, levels, estimator="occupation").values
     points = np.array([occupation_local_time(spath, y, t) for y in levels])
     assert np.all(profile == points)
-    wall = occupation_field(spath.positions, _steps_for(t, spath.n))
+    wall = OccupationField().drop(spath.positions[: _steps_for(t, spath.n) + 1])[0]
     blocks = dict(enumerate(wall.counts.tolist(), wall.min_site))
     counts = [blocks.get(site, 0) for site in snap_level(levels, spath.n).tolist()]
     assert np.all(profile == np.array(counts) / np.sqrt(float(spath.n)))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wallcurve import (
+    OccupationField,
     discrete_brick_trace,
-    occupation_field,
     simulate_walk,
     stream,
 )
@@ -54,37 +54,28 @@ def test_stream_domains_are_disjoint():
 
 
 def test_occupation_field_hand_case():
-    field = occupation_field(np.array([0, 1, 0, -1]), 3)
+    field = OccupationField().drop(np.array([0, 1, 0, -1]))[0]
     assert _blocks(field) == {-1: 1, 0: 2, 1: 1}
-    assert field.total == 4
+    assert field.counts.sum() == 4
 
 
 def test_occupation_field_single_block():
     sites = simulate_walk(0, seed=3)
-    assert _blocks(occupation_field(sites, 0)) == {0: 1}
+    assert _blocks(OccupationField().drop(sites[:1])[0]) == {0: 1}
 
 
 def test_occupation_field_counts_one_block_per_time_index():
     sites = simulate_walk(257, seed=11)
     for k in (0, 100, 257):
-        field = occupation_field(sites, k)
-        assert field.total == k + 1
+        field = OccupationField().drop(sites[: k + 1])[0]
         assert field.counts.sum() == k + 1
-
-
-def test_occupation_field_bounds_checked():
-    sites = simulate_walk(5, seed=0)
-    with pytest.raises(ValueError):
-        occupation_field(sites, 6)
-    with pytest.raises(ValueError):
-        occupation_field(sites, -1)
 
 
 def test_occupation_field_grows_by_one_at_current_site():
     sites = simulate_walk(200, seed=13)
-    prev = _blocks(occupation_field(sites, 0))
+    prev = _blocks(OccupationField().drop(sites[:1])[0])
     for k in range(1, 201):
-        cur = _blocks(occupation_field(sites, k))
+        cur = _blocks(OccupationField().drop(sites[: k + 1])[0])
         diff = {j: cur.get(j, 0) - prev.get(j, 0) for j in set(cur) | set(prev)}
         changed = {j: v for j, v in diff.items() if v}
         assert changed == {int(sites[k]): 1}
@@ -93,13 +84,13 @@ def test_occupation_field_grows_by_one_at_current_site():
 
 def test_occupation_field_mirror_symmetry():
     sites = simulate_walk(300, seed=21)
-    forward = _blocks(occupation_field(sites))
-    backward = _blocks(occupation_field(-sites))
+    forward = _blocks(OccupationField().drop(sites)[0])
+    backward = _blocks(OccupationField().drop(-sites)[0])
     assert backward == {-j: c for j, c in forward.items()}
 
 
 def test_visited_sites_form_an_interval():
-    field = occupation_field(simulate_walk(500, seed=2))
+    field = OccupationField().drop(simulate_walk(500, seed=2))[0]
     assert (field.counts >= 1).all()
 
 
@@ -113,7 +104,7 @@ def test_brick_trace_hand_cases():
 
 def test_brick_trace_heights_count_up_per_site():
     trace = discrete_brick_trace(simulate_walk(400, seed=17))
-    assert len(trace) == 401
+    assert len(trace.steps) == 401
     for site in np.unique(trace.sites):
         heights = trace.heights[trace.sites == site]
         assert heights.tolist() == list(range(1, len(heights) + 1))
