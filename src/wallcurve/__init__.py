@@ -27,7 +27,6 @@ from .oracle import (
     sample_identity_pair,
 )
 from .scaling import (
-    LocalTimeProfile,
     ScaledPath,
     band_local_time,
     default_band_width,
@@ -58,7 +57,6 @@ __all__ = [
     "CurveTrace",
     "EXPERIMENTS",
     "ExperimentConfig",
-    "LocalTimeProfile",
     "OccupationField",
     "ScaledPath",
     "TestReport",

@@ -172,9 +172,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     sites = simulate_walk(max(1, _steps_for(args.t, args.n)), args.seed)
     path = ScaledPath(n=args.n, positions=sites)
     levels = np.linspace(args.ymin, args.ymax, args.levels)
-    profile = local_time_profile(path, args.t, levels, eps=args.eps, estimator=args.estimator)
-    columns = (profile.levels, profile.values)
-    _write(args.output, _table(args.format, ["y", "local_time"], columns))
+    values = local_time_profile(path, args.t, levels, eps=args.eps, estimator=args.estimator)
+    _write(args.output, _table(args.format, ["y", "local_time"], (levels, values)))
     return 0
 
 
@@ -184,7 +183,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         replicates=args.replicates,
         n=args.n,
         t=args.t,
-        eps=args.eps,
         seed=args.seed,
         alpha=args.alpha,
         c=args.c,
@@ -205,17 +203,27 @@ def _add_common(p: argparse.ArgumentParser, formats: bool = True) -> None:
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that reads ``-1e308`` as a number, as it reads ``-1``.
+_DIGITS = r"\d(?:_?\d)*"
+# Every negative spelling ``float()`` accepts, in any case: ``-1e3``, ``-.5``,
+# ``-1_000``, ``-inf``, ``-Infinity``, ``-nan``.
+_NEGATIVE_NUMBER = re.compile(
+    rf"^-(?:(?:{_DIGITS}\.?(?:{_DIGITS})?|\.{_DIGITS})(?:e[+-]?{_DIGITS})?|inf(?:inity)?|nan)$",
+    re.IGNORECASE,
+)
 
-    argparse's own negative-number pattern has no exponent, so it takes
-    ``--c -1e308`` for an option with no value.  Subcommand parsers are
-    built from this class too.
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads ``-1e308`` and ``-inf`` as numbers, as it
+    reads ``-1``.
+
+    argparse's own negative-number pattern has no exponent and no non-finite
+    spelling, so it takes ``--c -1e308`` or ``--c -inf`` for an option with no
+    value.  Subcommand parsers are built from this class too.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", "-N", type=int, default=DEFAULT_REPLICATES)
     p.add_argument("--n", type=int, default=DEFAULT_N)
     p.add_argument("--t", type=float, default=DEFAULT_T)
-    p.add_argument("--eps", type=float, default=None)
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--d", type=float, default=1.0)

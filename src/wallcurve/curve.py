@@ -47,8 +47,6 @@ class CurveTrace:
     times: np.ndarray
     levels: np.ndarray
     heights: np.ndarray
-    n: int
-    estimator_tag: str
 
     def __len__(self) -> int:
         return len(self.times)
@@ -69,18 +67,14 @@ class CoverageReport:
 
     ``first_cover_time[i, j]`` is the time of the first trace point in
     cell (i, j), NaN while uncovered.  Cells are half-open squares of side
-    ``delta`` anchored at (x_lo, 0).
+    ``delta`` anchored at (x_lo, 0).  The grid is covered when
+    ``covered_count == total_count``.
     """
 
-    window: Window
-    delta: float
-    n: int
-    seed: int
     covered_count: int
     total_count: int
     first_cover_time: np.ndarray
     steps_used: int
-    budget_exhausted: bool
 
 
 def build_trace(
@@ -102,9 +96,7 @@ def build_trace(
         times = np.arange(path.n_segments + 1) / n
         levels = positions / root_n
         heights = OccupationField().drop(positions)[1] / root_n
-        return CurveTrace(
-            times=times, levels=levels, heights=heights, n=n, estimator_tag="occupation"
-        )
+        return CurveTrace(times, levels, heights)
     if estimator == "band":
         eps = default_band_width(n) if eps is None else eps
         count = min(path.n_segments + 1, max(2, subsample))
@@ -114,9 +106,7 @@ def build_trace(
         heights = np.array(
             [band_local_time(path, x, t, eps) for x, t in zip(levels, times)]
         )
-        return CurveTrace(
-            times=times, levels=levels, heights=heights, n=n, estimator_tag="band"
-        )
+        return CurveTrace(times, levels, heights)
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
@@ -142,13 +132,7 @@ def scale_trace(trace: CurveTrace, c: float, d: float) -> CurveTrace:
         raise ValueError(f"position factor c = {c} makes a level non-finite")
     if not np.isfinite(heights).all():
         raise ValueError(f"height factor d = {d} makes a height non-finite")
-    return CurveTrace(
-        times=trace.times,
-        levels=levels,
-        heights=heights,
-        n=trace.n,
-        estimator_tag=trace.estimator_tag,
-    )
+    return CurveTrace(trace.times, levels, heights)
 
 
 def wall_area(path: ScaledPath, t: float, c: float = 1.0, d: float = 1.0) -> float:
@@ -261,14 +245,4 @@ def coverage_check(
         chunk = min(chunk * 2, _CHUNK_CAP)
 
     covered = int(np.count_nonzero(~np.isnan(first_cover)))
-    return CoverageReport(
-        window=window,
-        delta=delta,
-        n=n,
-        seed=seed,
-        covered_count=covered,
-        total_count=nx * nh,
-        first_cover_time=first_cover,
-        steps_used=steps_used,
-        budget_exhausted=covered < nx * nh,
-    )
+    return CoverageReport(covered, nx * nh, first_cover, steps_used)

@@ -31,7 +31,6 @@ from .walk import OccupationField
 
 __all__ = [
     "ScaledPath",
-    "LocalTimeProfile",
     "default_band_width",
     "band_local_time",
     "occupation_local_time",
@@ -83,18 +82,6 @@ class ScaledPath:
     @property
     def horizon(self) -> float:
         return self.n_segments / self.n
-
-
-@dataclass(frozen=True)
-class LocalTimeProfile:
-    """Estimated local time per level at a fixed time ``t``."""
-
-    t: float
-    levels: np.ndarray
-    values: np.ndarray
-    estimator_tag: str
-    n: int
-    eps: float | None = None
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -198,8 +185,9 @@ def local_time_profile(
     levels,
     eps: float | None = None,
     estimator: str = "band",
-) -> LocalTimeProfile:
-    """Local-time profile over a strictly increasing level grid."""
+) -> np.ndarray:
+    """Estimated local time at time ``t`` on each level of a strictly
+    increasing grid, as an array in the order of ``levels``."""
     levels = np.asarray(levels, dtype=float)
     if levels.size == 0:
         raise ValueError("level grid must be non-empty")
@@ -209,12 +197,7 @@ def local_time_profile(
     if estimator == "band":
         eps = default_band_width(path.n) if eps is None else eps
         _check_positive("eps", eps)
-        values = _band_profile(path, t, levels, eps)
-    elif estimator == "occupation":
-        eps = None
-        values = _occupation_profile(path, t, levels)
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    return LocalTimeProfile(
-        t=t, levels=levels, values=values, estimator_tag=estimator, eps=eps, n=path.n
-    )
+        return _band_profile(path, t, levels, eps)
+    if estimator == "occupation":
+        return _occupation_profile(path, t, levels)
+    raise ValueError(f"unknown estimator {estimator!r}")

@@ -10,7 +10,7 @@ and replicates are merged in index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, erfc, exp, frexp, pi, sqrt
@@ -313,15 +313,7 @@ class TestReport:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "test_name": self.test_name,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "params": self.params,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -332,7 +324,6 @@ class ExperimentConfig:
     replicates: int = 2000
     n: int = 10_000
     t: float = 1.0
-    eps: float | None = None
     seed: int = 0
     alpha: float = 0.001
     c: float = 1.0
@@ -346,34 +337,38 @@ class ExperimentConfig:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         _check_positive("t", self.t)
-        if self.eps is not None:
-            _check_positive("eps", self.eps)
         _check_factors(self.c, self.d)
-
-    def resolved_eps(self) -> float:
-        return default_band_width(self.n) if self.eps is None else self.eps
 
 
 _AREA_RTOL = 1e-9
 _AGREEMENT_TOL = 0.05
 
 
-def _params(config: ExperimentConfig, **extra: Any) -> dict[str, Any]:
-    base: dict[str, Any] = {
+def _report(
+    config: ExperimentConfig,
+    statistic: float,
+    p_value: float | None,
+    n_samples: int,
+    ok: bool,
+    **extra: Any,
+) -> TestReport:
+    """The report of one run: the shared params plus the runner's ``extra``."""
+    params = {
         "experiment": config.experiment,
         "replicates": config.replicates,
         "n": config.n,
         "t": config.t,
-        "eps": config.resolved_eps(),
+        # No experiment reads a band width; the key keeps the format-v4
+        # report bytes until format v5 drops it.
+        "eps": default_band_width(config.n),
         "alpha": config.alpha,
         "format_version": FORMAT_VERSION,
+        **extra,
     }
-    base.update(extra)
-    return base
-
-
-def _verdict(ok: bool) -> str:
-    return "pass" if ok else "fail"
+    verdict = "pass" if ok else "fail"
+    return TestReport(
+        config.experiment, statistic, p_value, n_samples, config.seed, verdict, params
+    )
 
 
 def _ks_suite(a: np.ndarray, b: np.ndarray) -> dict[str, tuple[float, float]]:
@@ -395,14 +390,9 @@ def _run_area(config: ExperimentConfig) -> TestReport:
     _check_finite(f"target area of factors c = {config.c}, d = {config.d}", target)
     statistic = abs(area - target)
     tol = _AREA_RTOL * target
-    return TestReport(
-        test_name="area",
-        statistic=statistic,
-        p_value=None,
-        n_samples=n_steps,
-        seed=config.seed,
-        verdict=_verdict(statistic <= tol),
-        params=_params(config, c=config.c, d=config.d, area=area, tolerance=tol),
+    return _report(
+        config, statistic, None, n_steps, statistic <= tol,
+        c=config.c, d=config.d, area=area, tolerance=tol,
     )
 
 
@@ -411,14 +401,9 @@ def _run_density(config: ExperimentConfig) -> TestReport:
         config.t, config.seed, config.n, "lhs", config.replicates
     )
     statistic, p_value = chi2_gof_2d(samples, config.t)
-    return TestReport(
-        test_name="density",
-        statistic=statistic,
-        p_value=p_value,
-        n_samples=config.replicates,
-        seed=config.seed,
-        verdict=_verdict(p_value > config.alpha),
-        params=_params(config, bins=list(_GOF_BINS)),
+    return _report(
+        config, statistic, p_value, config.replicates, p_value > config.alpha,
+        bins=list(_GOF_BINS),
     )
 
 
@@ -443,18 +428,10 @@ def _run_identity(config: ExperimentConfig) -> TestReport:
     results = _ks_suite(a, b)
     p_value = min(p for _, p in results.values())
     statistic = max(d for d, _ in results.values())
-    return TestReport(
-        test_name=config.experiment,
-        statistic=statistic,
-        p_value=p_value,
-        n_samples=config.replicates,
-        seed=config.seed,
-        verdict=_verdict(p_value > config.alpha),
-        params=_params(
-            config,
-            sides=[side_a, side_b],
-            ks={k: {"statistic": d, "p_value": p} for k, (d, p) in results.items()},
-        ),
+    return _report(
+        config, statistic, p_value, config.replicates, p_value > config.alpha,
+        sides=[side_a, side_b],
+        ks={k: {"statistic": d, "p_value": p} for k, (d, p) in results.items()},
     )
 
 
@@ -480,7 +457,7 @@ def estimator_agreement(
     eps = 0.5 / root_n
     band = local_time_profile(path, t, levels, eps, "band")
     occ = local_time_profile(path, t, levels, None, "occupation")
-    return float(np.abs(band.values - occ.values).max())
+    return float(np.abs(band - occ).max())
 
 
 def _run_knight(config: ExperimentConfig) -> TestReport:
@@ -493,18 +470,10 @@ def _run_knight(config: ExperimentConfig) -> TestReport:
     statistic, p_value = ks_two_sample(occ, half_normal)
     discrepancy = estimator_agreement(config.seed, config.n, config.t)
     ok = p_value > config.alpha and discrepancy < _AGREEMENT_TOL
-    return TestReport(
-        test_name="knight",
-        statistic=statistic,
-        p_value=p_value,
-        n_samples=config.replicates,
-        seed=config.seed,
-        verdict=_verdict(ok),
-        params=_params(
-            config,
-            max_estimator_discrepancy=discrepancy,
-            agreement_tolerance=_AGREEMENT_TOL,
-        ),
+    return _report(
+        config, statistic, p_value, config.replicates, ok,
+        max_estimator_discrepancy=discrepancy,
+        agreement_tolerance=_AGREEMENT_TOL,
     )
 
 
@@ -522,23 +491,16 @@ def _run_coverage(config: ExperimentConfig) -> TestReport:
         if times.size
         else {}
     )
-    return TestReport(
-        test_name="coverage",
-        statistic=report.covered_count / report.total_count,
-        p_value=None,
-        n_samples=report.steps_used,
-        seed=config.seed,
-        verdict=_verdict(not report.budget_exhausted),
-        params=_params(
-            config,
-            window=[config.window.x_lo, config.window.x_hi, config.window.h_hi],
-            delta=config.delta,
-            step_budget=config.step_budget,
-            covered=report.covered_count,
-            total=report.total_count,
-            steps_used=report.steps_used,
-            first_cover=quantiles,
-        ),
+    covered, total = report.covered_count, report.total_count
+    return _report(
+        config, covered / total, None, report.steps_used, covered == total,
+        window=[config.window.x_lo, config.window.x_hi, config.window.h_hi],
+        delta=config.delta,
+        step_budget=config.step_budget,
+        covered=covered,
+        total=total,
+        steps_used=report.steps_used,
+        first_cover=quantiles,
     )
 
 

@@ -72,8 +72,9 @@ class OccupationField:
         offset = self.min_site - lo
         counts[offset : offset + len(self.counts)] = self.counts
         idx = sites - lo
-        heights = counts[idx] + _running_visit_rank(idx)
-        counts += np.bincount(idx, minlength=len(counts))
+        tally = np.bincount(idx, minlength=len(counts))
+        heights = counts[idx] + _running_visit_rank(idx, tally)
+        counts += tally
         return OccupationField(min_site=lo, counts=counts), heights
 
 
@@ -140,15 +141,15 @@ def simulate_walk(n_steps: int, seed: int) -> np.ndarray:
     return walk_sites(stream(seed, 0, domain=0), n_steps)
 
 
-def _running_visit_rank(idx: np.ndarray) -> np.ndarray:
+def _running_visit_rank(idx: np.ndarray, tally: np.ndarray) -> np.ndarray:
     """Rank of each entry among equal entries, in time order (1-based).
 
     Equivalent to walking the array and incrementing a per-site counter.
-    ``idx`` holds non-negative site offsets; one stable sort groups them
-    (as uint16, by linear-time radix sort, when they fit) and each group's
-    start in sorted order comes from the per-site tally.
+    ``idx`` holds non-negative site offsets and ``tally`` is
+    ``np.bincount(idx)``, possibly zero-padded; one stable sort groups the
+    offsets (as uint16, by linear-time radix sort, when the tally fits) and
+    each group's start in sorted order comes from the tally.
     """
-    tally = np.bincount(idx)
     key = idx.astype(np.uint16) if len(tally) <= 1 << 16 else idx
     order = np.argsort(key, kind="stable")
     first = np.cumsum(tally) - tally

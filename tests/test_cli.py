@@ -159,6 +159,14 @@ def test_verify_unknown_experiment_exits_two(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_rejects_eps(capsys):
+    # No experiment reads a band width, so verify has no --eps to set one.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "area", "--eps", "0.1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --eps 0.1" in capsys.readouterr().err
+
+
 def test_invalid_parameters_exit_two(capsys):
     code, _, err = run_cli(capsys, "verify", "area", "--t", "-1")
     assert code == 2
@@ -177,7 +185,7 @@ def test_report_json_rejects_non_finite_numbers():
         list(cli._dump_json({"statistic": float("nan")}))
 
 
-@pytest.mark.parametrize("c", ["-1e3", "-2.5E-1", "-.5e+1"])
+@pytest.mark.parametrize("c", ["-1e3", "-2.5E-1", "-.5e+1", "-1_0e1"])
 def test_negative_factor_in_exponent_form_is_a_value(capsys, c):
     args = ["curve", "--steps", "10", "--n", "1"]
     _, joined, _ = run_cli(capsys, *args, f"--c={c}")
@@ -240,7 +248,10 @@ def test_verify_config_out_of_range_exits_two(capsys, option, value, message):
         (("curve", "--c", "inf"), "position factor c must be finite, got inf"),
         (("curve", "--d", "nan"), "height factor d must be finite, got nan"),
         (("verify", "area", "--t", "inf"), "t must be finite, got inf"),
-        (("verify", "density", "--eps", "nan"), "eps must be finite, got nan"),
+        (
+            ("curve", "--steps", "3", "--n", "1", "--c", "-inf"),
+            "position factor c must be finite, got -inf",
+        ),
         (
             ("curve", "--steps", "100", "--n", "1", "--c", "1e308"),
             "position factor c = 1e+308 makes a level non-finite",
@@ -249,6 +260,16 @@ def test_verify_config_out_of_range_exits_two(capsys, option, value, message):
             ("curve", "--steps", "100", "--n", "1", "--d", "1e308"),
             "height factor d = 1e+308 makes a height non-finite",
         ),
+        # argparse reads these negative spellings as values, not as options.
+        (
+            ("curve", "--steps", "3", "--n", "1", "--c", "-nan"),
+            "position factor c must be finite, got nan",
+        ),
+        (
+            ("curve", "--steps", "3", "--n", "1", "--d", "-Infinity"),
+            "height factor d must be finite, got -inf",
+        ),
+        (("verify", "area", "--t", "-INF"), "t must be finite, got -inf"),
     ],
 )
 def test_non_finite_options_exit_two(capsys, argv, message):

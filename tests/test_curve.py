@@ -86,8 +86,8 @@ def test_zero_step_path_at_time_zero():
     # time, the wall is the one block at the origin and the area is 0.
     path = ScaledPath(n=100, positions=simulate_walk(0, seed=3))
     levels = np.array([-0.1, 0.0, 0.1])
-    band = local_time_profile(path, 0.0, levels, estimator="band").values
-    occupation = local_time_profile(path, 0.0, levels, estimator="occupation").values
+    band = local_time_profile(path, 0.0, levels, estimator="band")
+    occupation = local_time_profile(path, 0.0, levels, estimator="occupation")
     assert band.tolist() == [0.0, 0.0, 0.0]
     assert occupation.tolist() == [0.0, 0.1, 0.0]
     assert band_local_time(path, 0.0, 0.0, 0.5) == 0.0
@@ -147,10 +147,7 @@ def test_fill_order_clean_for_built_traces():
 
 
 def test_fill_order_empty_trace():
-    empty = CurveTrace(
-        times=np.array([]), levels=np.array([]), heights=np.array([]),
-        n=1, estimator_tag="occupation",
-    )
+    empty = CurveTrace(times=np.array([]), levels=np.array([]), heights=np.array([]))
     assert fill_order_check(empty) == []
 
 
@@ -160,10 +157,7 @@ def test_fill_order_flags_corrupted_heights():
     i, j = int(revisits[0]), int(revisits[1])
     heights = trace.heights.copy()
     heights[i], heights[j] = heights[j], heights[i]
-    bad = CurveTrace(
-        times=trace.times, levels=trace.levels, heights=heights,
-        n=trace.n, estimator_tag=trace.estimator_tag,
-    )
+    bad = CurveTrace(times=trace.times, levels=trace.levels, heights=heights)
     assert (i, j) in fill_order_check(bad)
 
 
@@ -173,7 +167,7 @@ def test_fill_order_reports_consecutive_drops_only():
     k = 3000
     reversed_wall = CurveTrace(
         times=np.arange(k, dtype=float), levels=np.zeros(k),
-        heights=np.arange(k, 0, -1, dtype=float), n=1, estimator_tag="occupation",
+        heights=np.arange(k, 0, -1, dtype=float),
     )
     pairs = fill_order_check(reversed_wall)
     assert len(pairs) == k - 1
@@ -192,7 +186,7 @@ def test_coverage_origin_cell_covered_immediately():
     assert report.total_count == 1
     assert report.covered_count == 1
     assert report.first_cover_time[0, 0] == 0.0
-    assert not report.budget_exhausted
+    assert report.covered_count == report.total_count
 
 
 def test_coverage_rejects_degenerate_windows():

@@ -143,12 +143,12 @@ def test_profile_at_time_zero():
     spath = ScaledPath(n=100, positions=simulate_walk(100, seed=6))
     levels = np.linspace(-1, 1, 21)
     band = local_time_profile(spath, 0.0, levels, estimator="band")
-    assert np.all(band.values == 0.0)
-    assert all(band_local_time(spath, y, 0.0, band.eps) == 0.0 for y in levels)
+    assert np.all(band == 0.0)
+    assert all(band_local_time(spath, y, 0.0, default_band_width(100)) == 0.0 for y in levels)
     occ = local_time_profile(spath, 0.0, levels, estimator="occupation")
     near_zero = np.abs(levels * 10) <= 0.5
-    assert np.allclose(occ.values[near_zero], 0.1)
-    assert np.all(occ.values[~near_zero] == 0.0)
+    assert np.allclose(occ[near_zero], 0.1)
+    assert np.all(occ[~near_zero] == 0.0)
 
 
 def test_profile_vanishes_outside_path_range():
@@ -158,7 +158,7 @@ def test_profile_vanishes_outside_path_range():
     lo = _knot_values(spath).min() - eps
     levels = np.array([lo - 1.0, lo - 0.01, hi + 0.01, hi + 1.0])
     prof = local_time_profile(spath, 1.0, levels, eps, "band")
-    assert np.all(prof.values == 0.0)
+    assert np.all(prof == 0.0)
 
 
 def test_band_local_time_matches_dense_sampling_oracle():
@@ -195,7 +195,7 @@ def test_band_profile_matches_direct_clipping():
         spath = ScaledPath(n=2000, positions=simulate_walk(2000, seed=seed))
         eps = default_band_width(2000)
         levels = np.linspace(-1.5, 1.5, 77)
-        profile = local_time_profile(spath, t, levels, eps, "band").values
+        profile = local_time_profile(spath, t, levels, eps, "band")
         direct = np.array([_band_local_time_reference(spath, y, t, eps) for y in levels])
         assert np.abs(profile - direct).max() < 1e-12
 
@@ -207,7 +207,7 @@ def test_band_sliver_past_a_knot_is_dropped():
     spath = ScaledPath(n=1, positions=positions)
     t = 13.000000001
     point = band_local_time(spath, 0.0, t, 1.0)
-    profile = local_time_profile(spath, t, [0.0], 1.0, "band").values[0]
+    profile = local_time_profile(spath, t, [0.0], 1.0, "band")[0]
     assert profile == point == 0.5
 
 
@@ -218,7 +218,7 @@ def test_band_profile_integrates_to_elapsed_time():
     t = 0.9
     values = _knot_values(spath)
     grid = np.arange(values.min() - 2 * eps, values.max() + 2 * eps, eps / 5)
-    values = local_time_profile(spath, t, grid, eps, "band").values
+    values = local_time_profile(spath, t, grid, eps, "band")
     assert abs(np.trapezoid(values, grid) - t) < 1e-3 * t
 
 
@@ -229,7 +229,7 @@ def test_occupation_profile_mass_identity():
     sites = np.arange(path.positions.min(), path.positions.max() + 1)
     levels = sites / np.sqrt(n)
     prof = local_time_profile(path, 1.0, levels, estimator="occupation")
-    mass = prof.values.sum() / np.sqrt(n)
+    mass = prof.sum() / np.sqrt(n)
     assert mass == pytest.approx((n + 1) / n, rel=1e-12)
 
 
@@ -240,8 +240,8 @@ def test_profile_monotone_in_time_per_level():
     prev_band = np.zeros_like(levels)
     prev_occ = np.zeros_like(levels)
     for t in (0.2, 0.5, 0.8, 1.0):
-        band = local_time_profile(path, t, levels, eps, "band").values
-        occ = local_time_profile(path, t, levels, None, "occupation").values
+        band = local_time_profile(path, t, levels, eps, "band")
+        occ = local_time_profile(path, t, levels, None, "occupation")
         assert np.all(band >= prev_band - 1e-12)
         assert np.all(occ >= prev_occ)
         prev_band, prev_occ = band, occ
@@ -253,8 +253,8 @@ def test_profile_mirror_symmetry():
     levels = np.linspace(-1.2, 1.2, 49)  # symmetric grid
     eps = default_band_width(600)
     for est in ("band", "occupation"):
-        fwd = local_time_profile(path, 1.0, levels, eps, est).values
-        rev = local_time_profile(mirrored, 1.0, levels, eps, est).values
+        fwd = local_time_profile(path, 1.0, levels, eps, est)
+        rev = local_time_profile(mirrored, 1.0, levels, eps, est)
         assert np.allclose(fwd, rev[::-1], atol=1e-12)
 
 
@@ -366,7 +366,7 @@ def profile_cases(draw):
 @given(case=profile_cases())
 def test_band_profile_equals_per_level_clipping(case):
     spath, t, eps, levels = case
-    profile = local_time_profile(spath, t, levels, eps, "band").values
+    profile = local_time_profile(spath, t, levels, eps, "band")
     points = np.array([band_local_time(spath, y, t, eps) for y in levels])
     assert np.all(profile == points)
     direct = np.array([_band_local_time_reference(spath, y, t, eps) for y in levels])
@@ -377,10 +377,41 @@ def test_band_profile_equals_per_level_clipping(case):
 @given(case=profile_cases())
 def test_occupation_profile_equals_point_counts(case):
     spath, t, _, levels = case
-    profile = local_time_profile(spath, t, levels, estimator="occupation").values
+    profile = local_time_profile(spath, t, levels, estimator="occupation")
     points = np.array([occupation_local_time(spath, y, t) for y in levels])
     assert np.all(profile == points)
     wall = OccupationField().drop(spath.positions[: _steps_for(t, spath.n) + 1])[0]
     blocks = dict(enumerate(wall.counts.tolist(), wall.min_site))
     counts = [blocks.get(site, 0) for site in snap_level(levels, spath.n).tolist()]
     assert np.all(profile == np.array(counts) / np.sqrt(float(spath.n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=walk_paths())
+def test_band_and_occupation_satisfy_the_visit_identity(case):
+    # Every visit to site j enters it by one of its two edges and leaves by
+    # one, except the first visit to 0 and the last to S_k.  With c(e) the
+    # crossings of edge (e, e+1) and L(j) the blocks at j after k steps:
+    # c(j-1) + c(j) = 2 L(j) - [j = 0] - [j = S_k].  A band of half-width half
+    # a lattice step around j holds the half of each crossing next to j, so at
+    # lattice levels the band estimate is the occupation estimate less
+    # ([j = 0] + [j = S_k]) / (2 sqrt(n)).
+    spath, step = case
+    pos, root_n = spath.positions, np.sqrt(float(spath.n))
+    for k in range(spath.n_segments + 1):
+        wall = OccupationField().drop(pos[: k + 1])[0]
+        lo = wall.min_site - 1  # one site either side of the wall, where L = 0
+        sites = np.arange(lo, wall.min_site + len(wall.counts) + 1)
+        blocks = np.zeros(len(sites), dtype=np.int64)
+        blocks[1:-1] = wall.counts
+        c = np.bincount(np.minimum(pos[:k], pos[1 : k + 1]) - lo, minlength=len(sites))
+        ends = (sites == 0).astype(np.int64) + (sites == pos[k])
+        assert np.array_equal(np.r_[0, c[:-1]] + c, 2 * blocks - ends)
+
+        t = k / spath.n
+        levels = sites * step
+        band = local_time_profile(spath, t, levels, 0.5 * step, "band")
+        occupation = local_time_profile(spath, t, levels, estimator="occupation")
+        assert np.array_equal(occupation, blocks / root_n)
+        expected = occupation - ends / (2 * root_n)
+        np.testing.assert_allclose(band, expected, rtol=1e-12, atol=1e-12 / root_n)
