@@ -31,7 +31,6 @@ from .scaling import (
     band_local_time,
     default_band_width,
     local_time_profile,
-    occupation_local_time,
 )
 from .stats import (
     EXPERIMENTS,
@@ -42,7 +41,6 @@ from .stats import (
     run_experiment,
 )
 from .walk import (
-    BlockTrace,
     OccupationField,
     discrete_brick_trace,
     simulate_walk,
@@ -52,7 +50,6 @@ from .walk import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockTrace",
     "CoverageReport",
     "CurveTrace",
     "EXPERIMENTS",
@@ -74,7 +71,6 @@ __all__ = [
     "marginal_height",
     "marginal_level",
     "mean_height",
-    "occupation_local_time",
     "reflection_tail",
     "run_experiment",
     "sample_exact",

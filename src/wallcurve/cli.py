@@ -21,15 +21,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .curve import Window, build_trace, scale_trace
-from .scaling import ScaledPath, _check_positive, _steps_for, local_time_profile
+from .scaling import ScaledPath, _check_finite, _check_positive, _walk_steps, local_time_profile
 from .stats import EXPERIMENTS, ExperimentConfig, run_experiment
 from .walk import discrete_brick_trace, simulate_walk
 
 DEFAULT_SEED = 0
 DEFAULT_N = 10_000
 DEFAULT_T = 1.0
-DEFAULT_REPLICATES = 2000
-DEFAULT_ALPHA = 0.001
 MAX_DEFAULT_ROWS = 100_000
 
 _VERIFY_NAMES = {name.removeprefix("identity-"): name for name in EXPERIMENTS}
@@ -148,9 +146,9 @@ def _default_stride(n_steps: int) -> int:
 
 def cmd_walk(args: argparse.Namespace) -> int:
     _check_stride(args.stride)
-    trace = discrete_brick_trace(simulate_walk(args.steps, args.seed))
+    sites = simulate_walk(args.steps, args.seed)
     # Full resolution by default: one row per placed block.
-    columns = (trace.steps, trace.sites, trace.heights)
+    columns = (np.arange(len(sites)), sites, discrete_brick_trace(sites))
     _write(args.output, _table(args.format, ["k", "site", "height"], columns, args.stride or 1))
     return 0
 
@@ -161,7 +159,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     trace = build_trace(path, estimator=args.estimator, eps=args.eps)
     if args.c != 1.0 or args.d != 1.0:
         trace = scale_trace(trace, args.c, args.d)
-    stride = args.stride or _default_stride(len(trace) - 1)
+    stride = args.stride or _default_stride(len(trace.times) - 1)
     columns = (trace.times, trace.levels, trace.heights)
     _write(args.output, _table(args.format, ["t", "x", "h"], columns, stride))
     return 0
@@ -169,7 +167,9 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     _check_positive("t", args.t)
-    sites = simulate_walk(max(1, _steps_for(args.t, args.n)), args.seed)
+    _check_finite("ymin", args.ymin)
+    _check_finite("ymax", args.ymax)
+    sites = simulate_walk(_walk_steps(args.t, args.n), args.seed)
     path = ScaledPath(n=args.n, positions=sites)
     levels = np.linspace(args.ymin, args.ymax, args.levels)
     values = local_time_profile(path, args.t, levels, eps=args.eps, estimator=args.estimator)
@@ -263,17 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification experiment")
     p.add_argument("experiment", choices=sorted(_VERIFY_NAMES))
-    p.add_argument("--replicates", "-N", type=int, default=DEFAULT_REPLICATES)
-    p.add_argument("--n", type=int, default=DEFAULT_N)
-    p.add_argument("--t", type=float, default=DEFAULT_T)
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--d", type=float, default=1.0)
-    p.add_argument("--xlo", type=float, default=-1.0)
-    p.add_argument("--xhi", type=float, default=1.0)
-    p.add_argument("--hhi", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--budget", type=int, default=10**8)
+    v = ExperimentConfig(EXPERIMENTS[0])  # the library's defaults
+    p.add_argument("--replicates", "-N", type=int, default=v.replicates)
+    p.add_argument("--n", type=int, default=v.n)
+    p.add_argument("--t", type=float, default=v.t)
+    p.add_argument("--alpha", type=float, default=v.alpha)
+    p.add_argument("--c", type=float, default=v.c)
+    p.add_argument("--d", type=float, default=v.d)
+    p.add_argument("--xlo", type=float, default=v.window.x_lo)
+    p.add_argument("--xhi", type=float, default=v.window.x_hi)
+    p.add_argument("--hhi", type=float, default=v.window.h_hi)
+    p.add_argument("--delta", type=float, default=v.delta)
+    p.add_argument("--budget", type=int, default=v.step_budget)
     _add_common(p, formats=False)  # reports are always the JSON schema
     p.set_defaults(func=cmd_verify)
 

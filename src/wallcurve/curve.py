@@ -24,7 +24,6 @@ from .scaling import (
     _check_positive,
     _check_time,
     band_local_time,
-    default_band_width,
 )
 from .walk import OccupationField, stream, walk_sites
 
@@ -47,9 +46,6 @@ class CurveTrace:
     times: np.ndarray
     levels: np.ndarray
     heights: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,6 @@ def build_trace(
         heights = OccupationField().drop(positions)[1] / root_n
         return CurveTrace(times, levels, heights)
     if estimator == "band":
-        eps = default_band_width(n) if eps is None else eps
         count = min(path.n_segments + 1, max(2, subsample))
         ks = np.unique(np.linspace(0, path.n_segments, count).astype(np.int64))
         times = ks / n
@@ -165,7 +160,7 @@ def fill_order_check(trace: CurveTrace) -> list[tuple[int, int]]:
     ``j`` is the next index after ``i`` with the same position.  The list is
     empty exactly when the height at every position is non-decreasing in
     time, as for any trace built by :func:`build_trace`: the wall at a fixed
-    position only ever grows.  Its length is below ``len(trace)``.
+    position only ever grows.  Its length is below ``len(trace.times)``.
     """
     order = np.argsort(trace.levels, kind="stable")
     same = trace.levels[order[1:]] == trace.levels[order[:-1]]
@@ -201,15 +196,16 @@ def coverage_check(
         raise ValueError("window must satisfy x_lo < x_hi")
     if window.h_hi <= 0:
         raise ValueError("window must extend above h = 0")
-    if delta <= 0:
-        raise ValueError(f"cell size delta must be > 0, got {delta}")
+    _check_positive("cell size delta", delta)
     if step_budget < 1:
         raise ValueError(f"step budget must be >= 1, got {step_budget}")
     if n < 1:
         raise ValueError(f"scale parameter n must be >= 1, got {n}")
 
-    nx = int(np.ceil((window.x_hi - window.x_lo) / delta))
-    nh = int(np.ceil(window.h_hi / delta))
+    cells = np.ceil([(window.x_hi - window.x_lo) / delta, window.h_hi / delta])
+    if not np.isfinite(cells).all():
+        raise ValueError(f"{cells[0]:g} x {cells[1]:g} cells of size {delta} are not a finite grid")
+    nx, nh = map(int, cells)
     first_cover = np.full((nx, nh), np.nan)
     root_n = np.sqrt(float(n))
 

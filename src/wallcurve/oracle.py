@@ -34,7 +34,7 @@ import functools
 
 import numpy as np
 
-from .scaling import _check_positive, _steps_for
+from .scaling import _check_positive, _walk_steps
 from .walk import _up_bits, stream
 
 __all__ = [
@@ -170,7 +170,7 @@ def sample_identity_pair(
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if side not in IDENTITY_SIDES:
         raise ValueError(f"unknown side {side!r}, expected one of {IDENTITY_SIDES}")
-    m = max(1, _steps_for(t, n))
+    m = _walk_steps(t, n)
     words = (m + 1) // 2  # a fresh stream has no pending half-word
     rows = min(replicates, max(1, _BLOCK_WORDS // words))
     raw = np.empty((rows, words), dtype=np.uint64)

@@ -33,7 +33,6 @@ __all__ = [
     "ScaledPath",
     "default_band_width",
     "band_local_time",
-    "occupation_local_time",
     "local_time_profile",
 ]
 
@@ -107,33 +106,29 @@ def _steps_for(t: float, n: int) -> int:
     return math.ceil(t * n - 1e-9)
 
 
+def _walk_steps(t: float, n: int) -> int:
+    """Steps of a walk simulated to time ``t`` at scale ``n``: at least one."""
+    return max(_steps_for(t, n), 1)
+
+
 def _active_segments(t: float, n: int, n_segments: int) -> int:
     """Number of segments intersecting [0, t], for ``t >= 0``."""
     return min(n_segments, _steps_for(t, n))
 
 
-def band_local_time(path: ScaledPath, y: float, t: float, eps: float) -> float:
+def band_local_time(path: ScaledPath, y: float, t: float, eps: float | None = None) -> float:
     """Band-occupation estimate of the local time at level ``y``.
 
-    This is the one-level profile of :func:`_band_profile`, so point
-    estimates and profiles agree exactly.
+    This is the one-level band :func:`local_time_profile`, so point
+    estimates and profiles agree exactly and ``eps`` defaults alike.
     """
-    _check_positive("eps", eps)
-    _check_time(t, path.horizon)
-    return float(_band_profile(path, t, np.array([y], dtype=float), eps)[0])
+    return float(local_time_profile(path, t, [y], eps)[0])
 
 
 def snap_level(y, n: int):
     """Lattice site nearest to ``y * sqrt(n)``, ties toward zero (elementwise)."""
     z = np.asarray(y, dtype=float) * np.sqrt(float(n))
-    sites = (np.sign(z) * np.ceil(np.abs(z) - 0.5)).astype(np.int64)
-    return sites if sites.ndim else int(sites)
-
-
-def occupation_local_time(path: ScaledPath, y: float, t: float) -> float:
-    """Rescaled visit count ``n**-0.5 * L(site nearest y*sqrt(n), ceil(n*t))``."""
-    _check_time(t, path.horizon)
-    return float(_occupation_profile(path, t, np.array([y], dtype=float))[0])
+    return (np.sign(z) * np.ceil(np.abs(z) - 0.5)).astype(np.int64)
 
 
 def _band_profile(
@@ -187,10 +182,13 @@ def local_time_profile(
     estimator: str = "band",
 ) -> np.ndarray:
     """Estimated local time at time ``t`` on each level of a strictly
-    increasing grid, as an array in the order of ``levels``."""
+    increasing grid of finite levels, as an array in the order of ``levels``;
+    the band half-width ``eps`` defaults to :func:`default_band_width`."""
     levels = np.asarray(levels, dtype=float)
     if levels.size == 0:
         raise ValueError("level grid must be non-empty")
+    if not np.isfinite(levels).all():
+        raise ValueError("levels must be finite")
     if levels.size > 1 and not np.all(np.diff(levels) > 0):
         raise ValueError("level grid must be strictly increasing")
     _check_time(t, path.horizon)

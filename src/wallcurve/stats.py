@@ -25,7 +25,7 @@ from .scaling import (
     ScaledPath,
     _check_finite,
     _check_positive,
-    _steps_for,
+    _walk_steps,
     default_band_width,
     local_time_profile,
 )
@@ -211,7 +211,7 @@ def _merge_small_bins(
                 pool_p += p[idx]
     obs_kept = obs[keep]
     p_kept = p[keep]
-    if small.any() or pool_p > 0:
+    if small.any():
         obs_kept = np.append(obs_kept, pool_obs)
         p_kept = np.append(p_kept, pool_p)
     if len(p_kept) < 2 or n_samples * p_kept.min() < _EXPECTED_FLOOR:
@@ -383,7 +383,7 @@ def _ks_suite(a: np.ndarray, b: np.ndarray) -> dict[str, tuple[float, float]]:
 
 
 def _run_area(config: ExperimentConfig) -> TestReport:
-    n_steps = max(1, _steps_for(config.t, config.n))
+    n_steps = _walk_steps(config.t, config.n)
     path = ScaledPath(n=config.n, positions=simulate_walk(n_steps, config.seed))
     area = wall_area(path, config.t, c=config.c, d=config.d)
     target = abs(config.c) * config.d * config.t
@@ -396,10 +396,13 @@ def _run_area(config: ExperimentConfig) -> TestReport:
     )
 
 
+def _sample(config: ExperimentConfig, side: str) -> np.ndarray:
+    """The configured replicates of one identity side (see :mod:`oracle`)."""
+    return oracle.sample_identity_pair(config.t, config.seed, config.n, side, config.replicates)
+
+
 def _run_density(config: ExperimentConfig) -> TestReport:
-    samples = oracle.sample_identity_pair(
-        config.t, config.seed, config.n, "lhs", config.replicates
-    )
+    samples = _sample(config, "lhs")
     statistic, p_value = chi2_gof_2d(samples, config.t)
     return _report(
         config, statistic, p_value, config.replicates, p_value > config.alpha,
@@ -416,12 +419,7 @@ _IDENTITY_PAIRS = {
 
 def _run_identity(config: ExperimentConfig) -> TestReport:
     side_a, side_b = _IDENTITY_PAIRS[config.experiment]
-    a = oracle.sample_identity_pair(
-        config.t, config.seed, config.n, side_a, config.replicates
-    )
-    b = oracle.sample_identity_pair(
-        config.t, config.seed, config.n, side_b, config.replicates
-    )
+    a, b = _sample(config, side_a), _sample(config, side_b)
     if config.experiment == "identity-levy":
         # Levy's identity matches (|position|, height at 0) in law.
         a = np.column_stack([np.abs(a[:, 0]), a[:, 1]])
@@ -435,10 +433,8 @@ def _run_identity(config: ExperimentConfig) -> TestReport:
     )
 
 
-def estimator_agreement(
-    seed: int, n: int, t: float = 1.0, levels: np.ndarray | None = None
-) -> float:
-    """Max gap between the two local-time estimators over a level grid.
+def estimator_agreement(seed: int, n: int, t: float = 1.0) -> float:
+    """Max estimator gap over 101 levels in ``[-sqrt(t), sqrt(t)]``.
 
     Levels are snapped to lattice sites and the band spans half a lattice
     spacing, the regime where the band integral resolves individual sites:
@@ -449,11 +445,9 @@ def estimator_agreement(
     quantization and by the spatial roughness of local time itself, which
     decays only like the square root of the band width; see the tests.
     """
-    if levels is None:
-        levels = np.linspace(-np.sqrt(t), np.sqrt(t), 101)
     root_n = np.sqrt(float(n))
-    levels = np.unique(np.rint(np.asarray(levels) * root_n)) / root_n
-    path = ScaledPath(n=n, positions=simulate_walk(max(1, _steps_for(t, n)), seed))
+    levels = np.unique(np.rint(np.linspace(-np.sqrt(t), np.sqrt(t), 101) * root_n)) / root_n
+    path = ScaledPath(n=n, positions=simulate_walk(_walk_steps(t, n), seed))
     eps = 0.5 / root_n
     band = local_time_profile(path, t, levels, eps, "band")
     occ = local_time_profile(path, t, levels, None, "occupation")
@@ -461,12 +455,8 @@ def estimator_agreement(
 
 
 def _run_knight(config: ExperimentConfig) -> TestReport:
-    occ = oracle.sample_identity_pair(
-        config.t, config.seed, config.n, "reversal", config.replicates
-    )[:, 1]
-    half_normal = oracle.sample_identity_pair(
-        config.t, config.seed, config.n, "levy", config.replicates
-    )[:, 1]
+    occ = _sample(config, "reversal")[:, 1]
+    half_normal = _sample(config, "levy")[:, 1]
     statistic, p_value = ks_two_sample(occ, half_normal)
     discrepancy = estimator_agreement(config.seed, config.n, config.t)
     ok = p_value > config.alpha and discrepancy < _AGREEMENT_TOL

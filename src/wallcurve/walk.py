@@ -78,20 +78,6 @@ class OccupationField:
         return OccupationField(min_site=lo, counts=counts), heights
 
 
-@dataclass(frozen=True)
-class BlockTrace:
-    """Block-by-block record of the wall: (step, site, height) per block.
-
-    ``heights[k]`` is the number of blocks at ``sites[k]`` once block ``k``
-    is placed, so within any fixed site the recorded heights are 1, 2, 3,
-    ... in order of appearance.
-    """
-
-    steps: np.ndarray
-    sites: np.ndarray
-    heights: np.ndarray
-
-
 def _up_bits(words: np.ndarray) -> np.ndarray:
     """The up-steps in raw 64-bit Philox words, two per word, as booleans.
 
@@ -158,8 +144,8 @@ def _running_visit_rank(idx: np.ndarray, tally: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def discrete_brick_trace(sites: np.ndarray) -> BlockTrace:
-    """Record every block placement as (step, site, running height at site)."""
-    heights = OccupationField().drop(sites)[1]
-    steps = np.arange(len(sites), dtype=np.int64)
-    return BlockTrace(steps=steps, sites=sites.copy(), heights=heights)
+def discrete_brick_trace(sites: np.ndarray) -> np.ndarray:
+    """Height of every block placement: ``heights[k]`` is the number of
+    blocks at ``sites[k]`` once block ``k`` is placed, so within any fixed
+    site the heights are 1, 2, 3, ... in order of appearance."""
+    return OccupationField().drop(sites)[1]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wallcurve import cli
+from wallcurve import ExperimentConfig, Window, cli
 from wallcurve.cli import _CELL, _table, main
 
 
@@ -270,6 +270,19 @@ def test_verify_config_out_of_range_exits_two(capsys, option, value, message):
             "height factor d must be finite, got -inf",
         ),
         (("verify", "area", "--t", "-INF"), "t must be finite, got -inf"),
+        (("profile", "--ymin", "-inf"), "ymin must be finite, got -inf"),
+        (("profile", "--ymax", "nan"), "ymax must be finite, got nan"),
+        (("verify", "coverage", "--delta", "inf"), "cell size delta must be finite, got inf"),
+        (("verify", "coverage", "--delta", "nan"), "cell size delta must be finite, got nan"),
+        (("verify", "coverage", "--hhi", "inf"), "40 x inf cells of size 0.05 are not a finite"),
+        (("verify", "coverage", "--hhi", "nan"), "40 x nan cells of size 0.05 are not a finite"),
+        (("verify", "coverage", "--xhi", "inf"), "inf x 10 cells of size 0.05 are not a finite"),
+        (("verify", "coverage", "--xlo", "-inf"), "inf x 10 cells of size 0.05 are not a finite"),
+        # Finite ends whose difference overflows.
+        (
+            ("verify", "coverage", "--xlo", "-1e308", "--xhi", "1e308"),
+            "inf x 10 cells of size 0.05 are not a finite grid",
+        ),
     ],
 )
 def test_non_finite_options_exit_two(capsys, argv, message):
@@ -277,6 +290,19 @@ def test_non_finite_options_exit_two(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert f"error: {message}" in err
+
+
+def test_verify_defaults_are_the_library_defaults():
+    args = cli.build_parser().parse_args(["verify", "area"])
+    config = ExperimentConfig("area")
+    assert (args.replicates, args.n, args.t, args.seed) == (
+        config.replicates, config.n, config.t, config.seed
+    )
+    assert (args.alpha, args.c, args.d, args.delta) == (
+        config.alpha, config.c, config.d, config.delta
+    )
+    assert Window(args.xlo, args.xhi, args.hhi) == config.window
+    assert args.budget == config.step_budget
 
 
 _INT64_EDGES = [0, 1, -1, 9, -9, 10, -10, -(2**63), 2**63 - 1]

@@ -12,7 +12,6 @@ from wallcurve import (
     coverage_check,
     fill_order_check,
     local_time_profile,
-    occupation_local_time,
     scale_trace,
     simulate_walk,
     wall_area,
@@ -41,7 +40,7 @@ def test_build_trace_initial_height():
 def test_build_trace_length_and_steps():
     n = 400
     trace = _trace(n, 3, n)
-    assert len(trace) == n + 1
+    assert len(trace.times) == n + 1
     assert np.all(np.diff(trace.times) > 0)
     assert np.allclose(np.abs(np.diff(trace.levels)), 1 / np.sqrt(n))
     assert np.all(trace.heights >= 0)
@@ -50,7 +49,7 @@ def test_build_trace_length_and_steps():
 def test_build_trace_band_estimator_subsamples():
     spath = ScaledPath(n=500, positions=simulate_walk(500, seed=4))
     trace = build_trace(spath, estimator="band", subsample=41)
-    assert len(trace) == 41
+    assert len(trace.times) == 41
     eps = 500**-0.25
     direct = [
         band_local_time(spath, x, t, eps) for x, t in zip(trace.levels, trace.times)
@@ -91,7 +90,7 @@ def test_zero_step_path_at_time_zero():
     assert band.tolist() == [0.0, 0.0, 0.0]
     assert occupation.tolist() == [0.0, 0.1, 0.0]
     assert band_local_time(path, 0.0, 0.0, 0.5) == 0.0
-    assert occupation_local_time(path, 0.0, 0.0) == 0.1
+    assert local_time_profile(path, 0.0, [0.0], estimator="occupation")[0] == 0.1
     assert wall_area(path, 0.0) == 0.0
     for estimator, height in (("occupation", 0.1), ("band", 0.0)):
         trace = build_trace(path, estimator=estimator)

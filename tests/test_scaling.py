@@ -12,7 +12,6 @@ from wallcurve import (
     default_band_width,
     ks_two_sample,
     local_time_profile,
-    occupation_local_time,
     sample_identity_pair,
     simulate_walk,
     wall_area,
@@ -26,6 +25,11 @@ def _knot_times(path):
 
 def _knot_values(path):
     return path.positions / np.sqrt(float(path.n))
+
+
+def occupation_local_time(path, y, t):
+    """The occupation estimate at one level ``y``: the one-level profile."""
+    return float(local_time_profile(path, t, [y], estimator="occupation")[0])
 
 
 def _knots(path):
@@ -137,6 +141,20 @@ def test_profile_grid_validation():
         local_time_profile(spath, 0.5, [0.0, 0.0])
     with pytest.raises(ValueError):
         local_time_profile(spath, 0.5, [0.1], estimator="nope")
+    for bad in ([np.nan], [0.0, np.inf], [-np.inf, 0.0]):
+        for estimator in ("band", "occupation"):
+            with pytest.raises(ValueError, match="levels must be finite"):
+                local_time_profile(spath, 0.5, bad, estimator=estimator)
+    with pytest.raises(ValueError, match="levels must be finite"):
+        band_local_time(spath, np.nan, 0.5)
+
+
+def test_band_local_time_default_width_is_the_profile_default():
+    spath = ScaledPath(n=300, positions=simulate_walk(300, seed=4))
+    levels = np.linspace(-0.5, 0.5, 11)
+    points = [band_local_time(spath, y, 0.7) for y in levels]
+    assert points == local_time_profile(spath, 0.7, levels).tolist()
+    assert points == [band_local_time(spath, y, 0.7, default_band_width(300)) for y in levels]
 
 
 def test_profile_at_time_zero():

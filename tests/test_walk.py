@@ -95,18 +95,19 @@ def test_visited_sites_form_an_interval():
 
 
 def test_brick_trace_hand_cases():
-    def rows(trace):
-        return np.column_stack([trace.steps, trace.sites, trace.heights]).tolist()
+    def rows(sites):
+        return np.column_stack([np.arange(len(sites)), sites, discrete_brick_trace(sites)]).tolist()
 
-    assert rows(discrete_brick_trace(np.array([0]))) == [[0, 0, 1]]
-    assert rows(discrete_brick_trace(np.array([0, 1, 0]))) == [[0, 0, 1], [1, 1, 1], [2, 0, 2]]
+    assert rows(np.array([0])) == [[0, 0, 1]]
+    assert rows(np.array([0, 1, 0])) == [[0, 0, 1], [1, 1, 1], [2, 0, 2]]
 
 
 def test_brick_trace_heights_count_up_per_site():
-    trace = discrete_brick_trace(simulate_walk(400, seed=17))
-    assert len(trace.steps) == 401
-    for site in np.unique(trace.sites):
-        heights = trace.heights[trace.sites == site]
+    sites = simulate_walk(400, seed=17)
+    placed = discrete_brick_trace(sites)
+    assert len(placed) == 401
+    for site in np.unique(sites):
+        heights = placed[sites == site]
         assert heights.tolist() == list(range(1, len(heights) + 1))
 
 
