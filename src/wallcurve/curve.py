@@ -64,7 +64,8 @@ class CoverageReport:
     ``first_cover_time[i, j]`` is the time of the first trace point in
     cell (i, j), NaN while uncovered.  Cells are half-open squares of side
     ``delta`` anchored at (x_lo, 0).  The grid is covered when
-    ``covered_count == total_count``.
+    ``covered_count == total_count``; ``steps_used`` is then the step of
+    its last first cover, and otherwise the whole step budget.
     """
 
     covered_count: int
@@ -73,18 +74,18 @@ class CoverageReport:
     steps_used: int
 
 
+_BAND_TRACE_POINTS = 129
+
+
 def build_trace(
-    path: ScaledPath,
-    estimator: str = "occupation",
-    eps: float | None = None,
-    subsample: int = 129,
+    path: ScaledPath, estimator: str = "occupation", eps: float | None = None
 ) -> CurveTrace:
     """Trace the curve along a rescaled walk, at the path's scale ``n``.
 
     The occupation estimator emits one point per step (the height is the
     running visit count at the current site, rescaled); the band estimator
-    is slower and is evaluated at ``subsample`` evenly strided steps for
-    cross-validation.
+    is slower and is evaluated at ``_BAND_TRACE_POINTS`` evenly strided
+    steps (every step of a shorter walk) for cross-validation.
     """
     n, positions = path.n, path.positions
     root_n = np.sqrt(float(n))
@@ -94,7 +95,7 @@ def build_trace(
         heights = OccupationField().drop(positions)[1] / root_n
         return CurveTrace(times, levels, heights)
     if estimator == "band":
-        count = min(path.n_segments + 1, max(2, subsample))
+        count = min(path.n_segments + 1, _BAND_TRACE_POINTS)
         ks = np.unique(np.linspace(0, path.n_segments, count).astype(np.int64))
         times = ks / n
         levels = positions[ks] / root_n
@@ -168,8 +169,9 @@ def fill_order_check(trace: CurveTrace) -> list[tuple[int, int]]:
     return list(zip(order[hits].tolist(), order[hits + 1].tolist()))
 
 
-_CHUNK_START = 1 << 16
-_CHUNK_CAP = 1 << 22
+_BLOCK_STEPS = 1 << 16
+_MAX_CELLS = 1 << 24
+_UNCOVERED = np.iinfo(np.int64).max
 
 
 def coverage_check(
@@ -184,13 +186,15 @@ def coverage_check(
     Cells are marked by trace points, not interpolated crossings, so the
     scale must satisfy ``n**-0.5`` well below ``delta`` or the bottom row
     of cells cannot be reached (heights move in steps of ``n**-0.5``).
+    A grid of more than ``_MAX_CELLS`` cells raises ``ValueError``.
 
-    The walk is extended in geometrically growing chunks, with per-site
-    visit counts carried across chunks by the streaming wall
-    (:meth:`~wallcurve.walk.OccupationField.drop`), so memory stays bounded
-    and a run stops as soon as the grid is covered.  Chunk boundaries depend only on
-    the round index, never on the budget, so a longer budget replays the
-    same trajectory further: covered counts are monotone in the budget.
+    The walk streams in blocks of ``_BLOCK_STEPS`` steps after the origin
+    block at step 0, with per-site visit counts carried across blocks by
+    the streaming wall (:meth:`~wallcurve.walk.OccupationField.drop`), so
+    memory stays bounded.  Each cell keeps the step of its first trace
+    point, and the run stops after the block that covers the grid or
+    spends the budget.  No result depends on the block size, and covered
+    counts are monotone in the budget.
     """
     if not window.x_lo < window.x_hi:
         raise ValueError("window must satisfy x_lo < x_hi")
@@ -206,39 +210,32 @@ def coverage_check(
     if not np.isfinite(cells).all():
         raise ValueError(f"{cells[0]:g} x {cells[1]:g} cells of size {delta} are not a finite grid")
     nx, nh = map(int, cells)
-    first_cover = np.full((nx, nh), np.nan)
+    if nx * nh > _MAX_CELLS:
+        raise ValueError(
+            f"{nx} x {nh} = {nx * nh} cells of size {delta} exceed the limit of {_MAX_CELLS}"
+        )
+    first = np.full(nx * nh, _UNCOVERED, dtype=np.int64)
     root_n = np.sqrt(float(n))
 
-    def mark(times: np.ndarray, x: np.ndarray, h: np.ndarray) -> None:
-        inside = (
-            (x >= window.x_lo)
-            & (x < window.x_hi)
-            & (h >= 0.0)
-            & (h < window.h_hi)
-        )
-        ix = ((x[inside] - window.x_lo) / delta).astype(np.int64)
-        ih = (h[inside] / delta).astype(np.int64)
-        np.clip(ix, 0, nx - 1, out=ix)
-        np.clip(ih, 0, nh - 1, out=ih)
-        # Times only grow and fmin skips NaN, so each cell keeps its first time.
-        np.fmin.at(first_cover.reshape(-1), ix * nh + ih, times[inside])
-
-    # Initial block at the origin, before any step.
-    pos = np.zeros(1, dtype=np.int64)
-    wall, h = OccupationField().drop(pos)
-    mark(np.zeros(1), np.zeros(1), h / root_n)
-
     rng = stream(seed, 0, domain=0)
-    steps_used = 0
-    chunk = _CHUNK_START
-    while steps_used < step_budget and np.isnan(first_cover).any():
-        use = min(chunk, step_budget - steps_used)
-        pos = walk_sites(rng, use, start=int(pos[-1]))[1:]
-        wall, h = wall.drop(pos)
-        times = (steps_used + 1 + np.arange(use)) / n
-        mark(times, pos / root_n, h / root_n)
-        steps_used += use
-        chunk = min(chunk * 2, _CHUNK_CAP)
+    # ``step`` is the step of ``sites[0]``, so the origin block is step 0.
+    wall, step, sites = OccupationField(), 0, walk_sites(rng, 0)
+    while True:
+        wall, counts = wall.drop(sites)
+        x, h = sites / root_n, counts / root_n
+        # Heights are at least n**-0.5 and x >= x_lo, so no index is negative.
+        inside = np.flatnonzero((x >= window.x_lo) & (x < window.x_hi) & (h < window.h_hi))
+        ix = np.minimum(((x[inside] - window.x_lo) / delta).astype(np.int64), nx - 1)
+        ih = np.minimum((h[inside] / delta).astype(np.int64), nh - 1)
+        np.minimum.at(first, ix * nh + ih, step + inside)
+        step += len(sites)
+        if step > step_budget or first.max() < _UNCOVERED:
+            break
+        use = min(_BLOCK_STEPS, step_budget + 1 - step)
+        sites = walk_sites(rng, use, start=int(sites[-1]))[1:]
 
-    covered = int(np.count_nonzero(~np.isnan(first_cover)))
-    return CoverageReport(covered, nx * nh, first_cover, steps_used)
+    first = first.reshape(nx, nh)
+    covered = first < _UNCOVERED
+    n_covered = int(np.count_nonzero(covered))
+    steps_used = int(first.max()) if n_covered == nx * nh else step_budget
+    return CoverageReport(n_covered, nx * nh, np.where(covered, first / n, np.nan), steps_used)

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 # Written into every report's params; bumped whenever report bytes change.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _EXACT_KS_LIMIT = 10_000
 _ASYMPTOTIC_KS_MIN = 50  # per-sample size from which the Kolmogorov tail holds

@@ -168,7 +168,7 @@ def test_criterion_8_fill_order():
         n = scales[seed % len(scales)]
         estimator = "band" if seed % 10 == 9 else "occupation"
         path = ScaledPath(n=n, positions=simulate_walk(n_steps, seed=seed))
-        trace = build_trace(path, estimator=estimator, subsample=21)
+        trace = build_trace(path, estimator=estimator)
         if fill_order_check(trace):
             _report(8, False, f"violations in trace for seed {seed}")
         checked += 1

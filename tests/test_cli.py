@@ -283,6 +283,11 @@ def test_verify_config_out_of_range_exits_two(capsys, option, value, message):
             ("verify", "coverage", "--xlo", "-1e308", "--xhi", "1e308"),
             "inf x 10 cells of size 0.05 are not a finite grid",
         ),
+        # A finite grid too large to allocate is refused before allocation.
+        (
+            ("verify", "coverage", "--delta", "1e-8"),
+            "200000000 x 50000000 = 10000000000000000 cells of size 1e-08 exceed the limit",
+        ),
     ],
 )
 def test_non_finite_options_exit_two(capsys, argv, message):

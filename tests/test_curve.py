@@ -10,6 +10,7 @@ from wallcurve import (
     band_local_time,
     build_trace,
     coverage_check,
+    curve,
     fill_order_check,
     local_time_profile,
     scale_trace,
@@ -48,8 +49,8 @@ def test_build_trace_length_and_steps():
 
 def test_build_trace_band_estimator_subsamples():
     spath = ScaledPath(n=500, positions=simulate_walk(500, seed=4))
-    trace = build_trace(spath, estimator="band", subsample=41)
-    assert len(trace.times) == 41
+    trace = build_trace(spath, estimator="band")
+    assert len(trace.times) == curve._BAND_TRACE_POINTS == 129
     eps = 500**-0.25
     direct = [
         band_local_time(spath, x, t, eps) for x, t in zip(trace.levels, trace.times)
@@ -141,7 +142,7 @@ def test_fill_order_clean_for_built_traces():
     for seed in range(5):
         trace = _trace(800, seed, 800)
         assert fill_order_check(trace) == []
-    band = _trace(300, 1, 300, estimator="band", subsample=25)
+    band = _trace(300, 1, 300, estimator="band")
     assert fill_order_check(band) == []
 
 
@@ -217,28 +218,35 @@ def test_coverage_first_cover_times_stable_under_extension():
 
 
 def test_coverage_first_cover_times_match_point_loop():
-    # 70000 steps run past the first 2**16-step chunk; heights up to 3 are
-    # out of reach, so the whole budget is walked and cells are revisited.
-    seed, n, budget, delta = 5, 10**4, 70_000, 0.1
-    window = Window(-0.5, 0.5, 3.0)
-    report = coverage_check(seed, window, delta, budget, n)
-    nx, nh = report.first_cover_time.shape
-    expected = np.full((nx, nh), np.nan)
-    counts = {}
-    root_n = np.sqrt(float(n))
-    for k, site in enumerate(simulate_walk(budget, seed).tolist()):
-        counts[site] = counts.get(site, 0) + 1
-        x, h = site / root_n, counts[site] / root_n
-        if window.x_lo <= x < window.x_hi and 0.0 <= h < window.h_hi:
-            ix = min(int((x - window.x_lo) / delta), nx - 1)
-            ih = min(int(h / delta), nh - 1)
-            if np.isnan(expected[ix, ih]):
-                expected[ix, ih] = k / n
-    assert report.steps_used == budget
-    assert np.array_equal(report.first_cover_time, expected, equal_nan=True)
-    first_chunk_end = (1 << 16) / n
-    assert (expected < first_chunk_end).any() and (expected > first_chunk_end).any()
-    assert np.isnan(expected).any()
+    # Both runs go past the first block at n = 10**4.  Heights up to 3 are out
+    # of reach, so the first walks its whole budget and revisits cells; the
+    # second covers its grid at step 67645 and reports that exact step.
+    n = 10**4
+    first_block_end = curve._BLOCK_STEPS / n
+    cases = [
+        (5, Window(-0.5, 0.5, 3.0), 0.1, 70_000, 70_000),
+        (1, Window(-1.0, 1.0, 0.5), 0.05, 100_000, 67_645),
+    ]
+    for seed, window, delta, budget, steps_used in cases:
+        report = coverage_check(seed, window, delta, budget, n)
+        nx, nh = report.first_cover_time.shape
+        expected = np.full((nx, nh), np.nan)
+        counts = {}
+        root_n = np.sqrt(float(n))
+        for k, site in enumerate(simulate_walk(budget, seed).tolist()):
+            counts[site] = counts.get(site, 0) + 1
+            x, h = site / root_n, counts[site] / root_n
+            if window.x_lo <= x < window.x_hi and 0.0 <= h < window.h_hi:
+                ix = min(int((x - window.x_lo) / delta), nx - 1)
+                ih = min(int(h / delta), nh - 1)
+                if np.isnan(expected[ix, ih]):
+                    expected[ix, ih] = k / n
+        assert np.array_equal(report.first_cover_time, expected, equal_nan=True)
+        assert (expected < first_block_end).any() and (expected > first_block_end).any()
+        covered = not np.isnan(expected).any()
+        assert report.steps_used == steps_used
+        assert steps_used == (round(expected.max() * n) if covered else budget)
+        assert (report.covered_count == report.total_count) == covered
 
 
 def test_height_jumps_shrink_with_scale():

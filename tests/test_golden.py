@@ -63,28 +63,29 @@ GOLDEN = {
     ),
     "verify-density": (
         ("verify", "density", *SMALL_VERIFY),
-        "cae0b23a84b4e2f0941d46a141141212b3184dab35cadfa30341775723d7022c",
+        "d04c8697d58ad01289312dadf41934b3a5d01f166169c42b04202497c55c977b",
     ),
     "verify-reversal": (
         ("verify", "reversal", *SMALL_VERIFY),
-        "9e8fe36b643567f0d68785f3bc5ecd3c5ce6d8bfa321ece8173a081a8045e413",
+        "a81cbdf1d1979f228bc93cc97bfd2ad5f737238db9ab6bc44e244a043869d465",
     ),
     "verify-levy": (
         ("verify", "levy", *SMALL_VERIFY),
-        "8f29d2b4a963bbae03a8de35c3ca41755fc612bd8e19c653cb16595df7121a94",
+        "cef1d6825aedf54c9cf2e1e898fd6743ccc274aec1db300af441aaab768bc4d6",
     ),
     "verify-signed": (
         ("verify", "signed", *SMALL_VERIFY),
-        "0e2ddb6451632181baca263e3e82f81c84c3c6eb2417e7e83d690c5855c5e1b7",
+        "82d82fa04c64e32de52291127f9581dfbebf4399a45bc56c95b4507ef6593a45",
     ),
     "verify-knight": (
         ("verify", "knight", *SMALL_VERIFY),
-        "65a3d9ac41c16aa3f9c224858f6deb3c425fc29772a0e6ff25aac7305e1f29e8",
+        "402cfb4d844886475f3b1de331d76033869fff97e2614c31403ba570a1deca09",
     ),
-    # 200000 steps stream through three chunks, the last one partial.
+    # 200000 steps stream through four 65536-step blocks, the last one
+    # partial, and leave the grid uncovered, so all of them are walked.
     "verify-coverage": (
         ("verify", "coverage", "--n", "10000", "--budget", "200000"),
-        "9b67c3f53ea88a60a27383635bb906ab520064fbdf27a03b72f25b1582ff2e49",
+        "b2f035659611186e1b94e296b26356a9216945b83b04d1c43a51773c49639a92",
     ),
 }
 
@@ -92,7 +93,7 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_output_matches_golden_hash(tmp_path, name):
     # The hashes above were recorded at this format version.
-    assert FORMAT_VERSION == 4
+    assert FORMAT_VERSION == 5
     argv, digest = GOLDEN[name]
     out = tmp_path / name
     main([*argv, "--seed", SEED, "-o", str(out)])

@@ -1,10 +1,12 @@
-"""Property tests of the step source and the streaming wall."""
+"""Property tests of the step source, the streaming wall and coverage."""
+
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wallcurve import OccupationField, simulate_walk, stream
+from wallcurve import OccupationField, Window, coverage_check, simulate_walk, stream
 from wallcurve.walk import walk_sites
 
 seeds = st.integers(0, 2**64 - 1)
@@ -97,3 +99,31 @@ def test_heights_count_up_per_site(seed, n_steps):
     wall, heights = OccupationField().drop(sites)
     assert heights.tolist() == expected
     assert dict(enumerate(wall.counts.tolist(), wall.min_site)) == tally
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=seeds,
+    n=st.sampled_from([4, 16, 100]),
+    x_lo=st.floats(-2.0, 0.0),
+    width=st.floats(0.1, 3.0),
+    h_hi=st.floats(0.1, 2.0),
+    delta=st.sampled_from([0.25, 0.5, 1.0]),
+    budget=st.integers(1, 1500),
+    block=st.integers(1, 64),
+)
+# Covered at step 443, inside the 64th block of 7 steps.
+@example(seed=1, n=16, x_lo=-1.0, width=2.0, h_hi=1.0, delta=0.5, budget=1500, block=7)
+# 69 of 96 cells covered when the budget runs out.
+@example(seed=0, n=100, x_lo=-2.0, width=3.0, h_hi=2.0, delta=0.25, budget=1500, block=64)
+def test_coverage_report_does_not_depend_on_block_size(
+    seed, n, x_lo, width, h_hi, delta, budget, block
+):
+    window = Window(x_lo, x_lo + width, h_hi)
+    whole = coverage_check(seed, window, delta, budget, n)
+    with patch("wallcurve.curve._BLOCK_STEPS", block):
+        blocked = coverage_check(seed, window, delta, budget, n)
+    assert (blocked.covered_count, blocked.total_count, blocked.steps_used) == (
+        whole.covered_count, whole.total_count, whole.steps_used
+    )
+    assert np.array_equal(blocked.first_cover_time, whole.first_cover_time, equal_nan=True)

@@ -112,12 +112,12 @@ def test_brick_trace_heights_count_up_per_site():
 
 
 def test_walk_matches_diffusive_scaling():
-    # Empirical mean/variance of the endpoint over many replicates.
+    # Empirical mean/variance of the endpoint of `walk_sites`, the package's
+    # one step source, over many replicates.
     reps, n = 10**4, 10**4
     finals = np.empty(reps)
     for r in range(reps):
-        rng = stream(123, r, domain=0)
-        finals[r] = (2 * rng.integers(0, 2, size=n, dtype=np.int64) - 1).sum()
+        finals[r] = walk_sites(stream(123, r, domain=0), n)[-1]
     z = finals / np.sqrt(n)
     assert abs(z.mean()) < 4 / np.sqrt(reps)
     assert abs(z.var(ddof=1) - 1.0) < 0.05
