@@ -5,7 +5,8 @@ Tables are formatted by column: CSV (comma-delimited, header row, newline
 or JSON records of the same values (canonical key order), so that every file
 round-trips byte-identically through parse/re-serialize.
 
-Exit codes for ``verify``: 0 pass, 1 statistical fail, 2 usage error.
+Exit codes for ``verify``: 0 pass, 1 statistical fail, 2 usage error.  Any
+command exits 2 on bad input, a request too large to allocate included.
 Seeds are always explicit flags or the reported default; there is no
 environment-variable override.
 """
@@ -286,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

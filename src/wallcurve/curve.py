@@ -84,8 +84,9 @@ def build_trace(
 
     The occupation estimator emits one point per step (the height is the
     running visit count at the current site, rescaled); the band estimator
-    is slower and is evaluated at ``_BAND_TRACE_POINTS`` evenly strided
-    steps (every step of a shorter walk) for cross-validation.
+    is evaluated at ``_BAND_TRACE_POINTS`` evenly strided steps (every step
+    of a shorter walk) for cross-validation, each point a binary search per
+    site in range of the path's edge index, which the first point builds.
     """
     n, positions = path.n, path.positions
     root_n = np.sqrt(float(n))
@@ -193,8 +194,9 @@ def coverage_check(
     the streaming wall (:meth:`~wallcurve.walk.OccupationField.drop`), so
     memory stays bounded.  Each cell keeps the step of its first trace
     point, and the run stops after the block that covers the grid or
-    spends the budget.  No result depends on the block size, and covered
-    counts are monotone in the budget.
+    spends the budget; the stop test reads the lowest uncovered cell and
+    scans on from it only once that cell is covered.  No result depends on
+    the block size, and covered counts are monotone in the budget.
     """
     if not window.x_lo < window.x_hi:
         raise ValueError("window must satisfy x_lo < x_hi")
@@ -214,7 +216,9 @@ def coverage_check(
         raise ValueError(
             f"{nx} x {nh} = {nx * nh} cells of size {delta} exceed the limit of {_MAX_CELLS}"
         )
-    first = np.full(nx * nh, _UNCOVERED, dtype=np.int64)
+    total = nx * nh
+    first = np.full(total, _UNCOVERED, dtype=np.int64)
+    cursor = 0  # the lowest uncovered cell, or ``total`` once there is none
     root_n = np.sqrt(float(n))
 
     rng = stream(seed, 0, domain=0)
@@ -229,13 +233,18 @@ def coverage_check(
         ih = np.minimum((h[inside] / delta).astype(np.int64), nh - 1)
         np.minimum.at(first, ix * nh + ih, step + inside)
         step += len(sites)
-        if step > step_budget or first.max() < _UNCOVERED:
+        if first[cursor] != _UNCOVERED:
+            rest = first[cursor:] == _UNCOVERED
+            cursor = cursor + int(rest.argmax()) if rest.any() else total
+        if step > step_budget or cursor == total:
             break
         use = min(_BLOCK_STEPS, step_budget + 1 - step)
         sites = walk_sites(rng, use, start=int(sites[-1]))[1:]
 
     first = first.reshape(nx, nh)
-    covered = first < _UNCOVERED
-    n_covered = int(np.count_nonzero(covered))
-    steps_used = int(first.max()) if n_covered == nx * nh else step_budget
-    return CoverageReport(n_covered, nx * nh, np.where(covered, first / n, np.nan), steps_used)
+    steps_used = int(first.max()) if cursor == total else step_budget
+    uncovered = first == _UNCOVERED
+    times = first.astype(np.float64)
+    times /= n
+    times[uncovered] = np.nan
+    return CoverageReport(total - int(np.count_nonzero(uncovered)), total, times, steps_used)

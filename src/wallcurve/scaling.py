@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +56,9 @@ class ScaledPath:
     ``positions`` are the walk's lattice sites, a signed-integer array in
     which every step is +1 or -1; both local-time estimators read them.  A
     walk of zero steps is its one starting site, a path that exists only at
-    ``t = 0``.
+    ``t = 0``.  The band estimator's edge index (:class:`_EdgeIndex`) is
+    built from ``positions`` on first use and kept, so they must not change
+    after that.
     """
 
     n: int
@@ -81,6 +84,47 @@ class ScaledPath:
     @property
     def horizon(self) -> float:
         return self.n_segments / self.n
+
+    @cached_property
+    def _edge_index(self) -> _EdgeIndex:
+        return _EdgeIndex.build(self.positions)
+
+
+@dataclass(frozen=True)
+class _EdgeIndex:
+    """The segments of a walk grouped by the lattice edge they cross.
+
+    Segment ``i`` crosses edge ``e = min(positions[i], positions[i + 1])``,
+    the edge between sites ``e`` and ``e + 1``.  Edges are counted from
+    ``base``, the lowest site.  ``keys`` holds ``(e - base) * stride + i``
+    for every segment, ascending, so each edge's crossings are one run of
+    it in time order, beginning at ``starts[e - base]``.  A walk reaches
+    new sites one edge at a time, so the first crossings of the edges
+    below its start, ``below`` (nearest edge first), and of those from it
+    up, ``above``, ascend.
+    """
+
+    base: int
+    stride: int
+    keys: np.ndarray
+    starts: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
+
+    @classmethod
+    def build(cls, positions: np.ndarray) -> _EdgeIndex:
+        base = int(positions.min())
+        stride = max(len(positions) - 1, 1)
+        edges = np.minimum(positions[:-1], positions[1:]) - base
+        # numpy sorts integers of up to 16 bits stably by radix sort.
+        edges = edges.astype(np.min_scalar_type(edges.max(initial=0)))
+        order = np.argsort(edges, kind="stable")
+        sizes = np.bincount(edges, minlength=int(positions.max()) - base)
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        keys = np.repeat(np.arange(len(sizes), dtype=np.int64) * stride, sizes) + order
+        first = order[starts[:-1]]
+        origin = int(positions[0]) - base
+        return cls(base, stride, keys, starts, first[:origin][::-1].copy(), first[origin:])
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -131,6 +175,21 @@ def snap_level(y, n: int):
     return (np.sign(z) * np.ceil(np.abs(z) - 0.5)).astype(np.int64)
 
 
+def _edge_counts(path: ScaledPath, full: int) -> tuple[int, np.ndarray]:
+    """The lowest site ``lo`` of the walk's first ``full`` segments, and how
+    often those segments cross each edge from ``lo`` to their highest site.
+
+    Each count is one binary search in the path's edge index, so a query
+    costs O(R log k) for R sites in range and k segments.
+    """
+    index = path._edge_index
+    origin = int(path.positions[0])
+    lo = origin - int(np.searchsorted(index.below, full))
+    hi = origin + int(np.searchsorted(index.above, full))
+    edges = np.arange(lo - index.base, hi - index.base)
+    return lo, np.searchsorted(index.keys, edges * index.stride + full) - index.starts[edges]
+
+
 def _band_profile(
     path: ScaledPath, t: float, levels: np.ndarray, eps: float
 ) -> np.ndarray:
@@ -142,15 +201,16 @@ def _band_profile(
     count as its slope, and the band measure is its difference across the
     band.  A partial last segment is clipped on its own; it exists only when
     :func:`_active_segments` counts one more segment than ``floor(t*n)``, so
-    a sliver within the round-off of ``t = k/n`` is dropped.  This costs
-    O(k + m) for k segments and m levels.
+    a sliver within the round-off of ``t = k/n`` is dropped.  The crossing
+    counts come from the path's edge index (:func:`_edge_counts`), built
+    once by a stable sort of its k segments; a query then costs
+    O(R log k + m) for R sites in range and m levels.
     """
     pos = path.positions
     k = _active_segments(t, path.n, path.n_segments)
     full = min(k, math.floor(t * path.n))
-    edges = np.minimum(pos[:full], pos[1 : full + 1])
-    lo = pos[: full + 1].min()
-    below = np.concatenate([[0.0], np.cumsum(np.bincount(edges - lo))])
+    lo, counts = _edge_counts(path, full)
+    below = np.concatenate([[0.0], np.cumsum(counts)])
     sites = np.arange(lo, lo + len(below))
     root_n = np.sqrt(float(path.n))
     a = (levels - eps) * root_n

@@ -206,6 +206,28 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
     assert "error" in err
 
 
+# 10**14 steps need 728 TiB of int64 sites, above the 128 TiB a process can
+# address, so the allocation fails at once whatever the memory overcommit.
+_TOO_MANY = str(10**14)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["walk", "--steps", _TOO_MANY],
+        ["curve", "--steps", _TOO_MANY],
+        ["profile", "--n", _TOO_MANY],
+        ["verify", "area", "--n", _TOO_MANY],
+        ["verify", "density", "--n", _TOO_MANY, "--replicates", "1000"],
+    ],
+)
+def test_request_too_large_to_allocate_exits_two(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Unable to allocate")
+
+
 def test_float_formatting_round_trips():
     for x in (0.25, 1 / 3, 1e-17, 123456.789012345678, 2.0**-52):
         assert float(_CELL["f"] % x) == x

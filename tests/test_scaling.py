@@ -1,8 +1,10 @@
 """Rescaling and the two local-time estimators."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wallcurve import (
@@ -355,6 +357,93 @@ def test_band_local_time_never_decreases_in_time(case, later):
     # A longer time sums more segments, so numpy's pairwise summation tree
     # can change shape; the order holds up to a few ulps of the total.
     assert after >= before * (1 - 1e-13)
+
+
+def _band_profile_by_bincount(path, t, levels, eps):
+    """The band kernel as first written: every call counts the edges that the
+    walk prefix crosses with one ``bincount``."""
+    pos = path.positions
+    k = _active_segments(t, path.n, path.n_segments)
+    full = min(k, math.floor(t * path.n))
+    edges = np.minimum(pos[:full], pos[1 : full + 1])
+    lo = pos[: full + 1].min()
+    below = np.concatenate([[0.0], np.cumsum(np.bincount(edges - lo))])
+    sites = np.arange(lo, lo + len(below))
+    root_n = np.sqrt(float(path.n))
+    a = (levels - eps) * root_n
+    b = (levels + eps) * root_n
+    measure = np.interp(b, sites, below) - np.interp(a, sites, below)
+    if k > full:
+        theta = t * path.n - full
+        x0, x1 = pos[full], pos[full + 1]
+        start = min(x0, x0 + theta * (x1 - x0))
+        measure += np.clip(b - start, 0.0, theta) - np.clip(a - start, 0.0, theta)
+    return measure / (path.n * 2.0 * eps)
+
+
+@st.composite
+def band_queries(draw):
+    """One rescaled walk, zero steps included, and band queries on it in the
+    order drawn: each a time, a strictly increasing level grid and ``eps``.
+
+    A time is 0, a knot time, a time between two knots, or within 1e-9 of a
+    step either side of a knot (the sliver the kernel drops); levels reach a
+    path width beyond the path on both sides.
+    """
+    n_steps = draw(st.integers(0, 300))
+    n = draw(st.integers(1, 400))
+    spath = ScaledPath(n=n, positions=simulate_walk(n_steps, draw(st.integers(0, 2**32))))
+    step = 1.0 / np.sqrt(n)
+    values = _knot_values(spath)
+    width = float(np.ptp(values)) + step
+    queries = []
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(0, n_steps))
+        offset = draw(st.sampled_from([0.0, 5e-10, -5e-10]) | st.floats(0.0, 1.0))
+        t = 0.0 if k == 0 and offset < 0 else min((k + offset) / n, spath.horizon)
+        eps = step * 2.0 ** draw(st.floats(-3.0, np.log2(width / step) + 1.0))
+        lo, hi = float(values.min()) - width, float(values.max()) + width
+        grid = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=12))
+        queries.append((t, np.unique(grid), eps))
+    return spath, queries
+
+
+def _walk_from_steps(steps):
+    return np.concatenate([[0], np.cumsum([1 if c == "u" else -1 for c in steps])])
+
+
+# The walks on which the band estimate drops by rounding in t (CHANGES.md).
+_ROUNDING_WALK_12 = ScaledPath(n=1, positions=_walk_from_steps("dduudduuduud"))
+_ROUNDING_WALK_139 = ScaledPath(
+    n=1,
+    positions=_walk_from_steps(
+        "uduudddduuuuddudduduuuuudduuduuududududuuudduddudduddddduuudddduduudud"
+        "ddududuuuududduddduduuuuuuududuuududdududuudduudddduududuuududduuuuud"
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=band_queries())
+@example(
+    case=(
+        _ROUNDING_WALK_12,
+        [(t, np.array([2.414213562373095]), 1.4142135623730951) for t in (12.0, 11.5)],
+    )
+)
+@example(
+    case=(
+        _ROUNDING_WALK_139,
+        [(t, np.array([20.845398302197573]), 10.848721470922609) for t in (139.0, 138.5)],
+    )
+)
+def test_band_profile_equals_the_per_call_bincount(case):
+    # The path's edge index is built by the first query and reused, in any
+    # order, by the rest; each result is the per-call count's, bit for bit.
+    spath, queries = case
+    for t, levels, eps in queries:
+        got = local_time_profile(spath, t, levels, eps, "band")
+        assert np.array_equal(got, _band_profile_by_bincount(spath, t, levels, eps))
 
 
 @st.composite
