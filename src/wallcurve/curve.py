@@ -25,7 +25,9 @@ from .scaling import (
     _check_time,
     band_local_time,
 )
-from .walk import OccupationField, stream, walk_sites
+# ``stream`` is only called through ``walk_sites``; the benchmark's tracer
+# still looks the name up in this module.
+from .walk import OccupationField, stream, walk_sites  # noqa: F401
 
 __all__ = [
     "CurveTrace",
@@ -190,13 +192,15 @@ def coverage_check(
     A grid of more than ``_MAX_CELLS`` cells raises ``ValueError``.
 
     The walk streams in blocks of ``_BLOCK_STEPS`` steps after the origin
-    block at step 0, with per-site visit counts carried across blocks by
-    the streaming wall (:meth:`~wallcurve.walk.OccupationField.drop`), so
-    memory stays bounded.  Each cell keeps the step of its first trace
-    point, and the run stops after the block that covers the grid or
-    spends the budget; the stop test reads the lowest uncovered cell and
-    scans on from it only once that cell is covered.  No result depends on
-    the block size, and covered counts are monotone in the budget.
+    block at step 0, each read by its step index
+    (:func:`~wallcurve.walk.walk_sites`), with per-site visit counts
+    carried across blocks by the streaming wall
+    (:meth:`~wallcurve.walk.OccupationField.drop`), so memory stays
+    bounded.  Each cell keeps the step of its first trace point, and the
+    run stops after the block that covers the grid or spends the budget;
+    the stop test reads the lowest uncovered cell and scans on from it only
+    once that cell is covered.  No result depends on the block size, and
+    covered counts are monotone in the budget.
     """
     if not window.x_lo < window.x_hi:
         raise ValueError("window must satisfy x_lo < x_hi")
@@ -221,9 +225,8 @@ def coverage_check(
     cursor = 0  # the lowest uncovered cell, or ``total`` once there is none
     root_n = np.sqrt(float(n))
 
-    rng = stream(seed, 0, domain=0)
     # ``step`` is the step of ``sites[0]``, so the origin block is step 0.
-    wall, step, sites = OccupationField(), 0, walk_sites(rng, 0)
+    wall, step, sites = OccupationField(), 0, walk_sites(seed, 0, 0, 0, 0)
     while True:
         wall, counts = wall.drop(sites)
         x, h = sites / root_n, counts / root_n
@@ -239,7 +242,8 @@ def coverage_check(
         if step > step_budget or cursor == total:
             break
         use = min(_BLOCK_STEPS, step_budget + 1 - step)
-        sites = walk_sites(rng, use, start=int(sites[-1]))[1:]
+        # Site ``step`` is reached by the stream's step ``step - 1``.
+        sites = walk_sites(seed, 0, 0, step - 1, use, start=int(sites[-1]))[1:]
 
     first = first.reshape(nx, nh)
     steps_used = int(first.max()) if cursor == total else step_budget

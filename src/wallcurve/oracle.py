@@ -35,7 +35,7 @@ import functools
 import numpy as np
 
 from .scaling import _check_positive, _walk_steps
-from .walk import _up_bits, stream
+from .walk import stream
 
 __all__ = [
     "joint_density",
@@ -54,8 +54,9 @@ __all__ = [
 IDENTITY_SIDES = ("lhs", "reversal", "levy", "signed")
 _WALK_DOMAIN = {"lhs": 0, "reversal": 1, "levy": 2, "signed": 2}
 _SIGN_DOMAIN = 3
-#: Raw words drawn per block of replicates: the sampler's memory cap.
-_BLOCK_WORDS = 1 << 16
+#: Bytes of raw words drawn per block of replicates: the sampler's memory
+#: cap.  64 KiB is 52 replicates of 10**4 steps (157 words each).
+_BLOCK_BYTES = 1 << 16
 
 
 def joint_density(y, s, t: float):
@@ -157,11 +158,14 @@ def sample_identity_pair(
     any two of those sides are independent; ``signed`` deliberately reuses
     the ``levy`` walk.
 
-    The site array is never built.  Replicates are drawn in blocks of about
-    ``_BLOCK_WORDS`` raw words (one row per replicate, so memory stays
-    O(m) at any ``replicates``), their up-steps packed eight to a byte, and
-    each statistic reduced from :func:`_byte_tables` lookups plus one
-    running sum per byte.
+    The site array is never built.  Each replicate's ``ceil(m/64)`` raw
+    words hold its steps in the rule of :mod:`wallcurve.walk`, so their
+    little-endian bytes are the up-steps packed eight to a byte, the first
+    in the lowest bit.  Replicates are drawn in blocks of about
+    ``_BLOCK_BYTES`` bytes of words (one row per replicate, so memory stays
+    O(m) at any ``replicates``), and each statistic is reduced from
+    :func:`_byte_tables` lookups plus one running sum per byte.  A
+    replicate's sign is step 0 of its own sign stream.
     """
     _check_positive("t", t)
     if n < 1:
@@ -171,10 +175,10 @@ def sample_identity_pair(
     if side not in IDENTITY_SIDES:
         raise ValueError(f"unknown side {side!r}, expected one of {IDENTITY_SIDES}")
     m = _walk_steps(t, n)
-    words = (m + 1) // 2  # a fresh stream has no pending half-word
-    rows = min(replicates, max(1, _BLOCK_WORDS // words))
-    raw = np.empty((rows, words), dtype=np.uint64)
-    n_bytes = (m + 7) // 8
+    words = -(-m // 64)
+    rows = min(replicates, max(1, _BLOCK_BYTES // (8 * words)))
+    raw = np.empty((rows, words), dtype="<u8")
+    n_bytes = -(-m // 8)
     # Table row of each byte: 256 * (steps in the byte), the last one partial.
     base = np.full(n_bytes, 256 * 8)
     base[-1] = 256 * (m - 8 * (n_bytes - 1))
@@ -185,7 +189,7 @@ def sample_identity_pair(
         block = raw[: min(rows, replicates - lo)]
         for i in range(len(block)):
             block[i] = stream(seed, lo + i, domain=domain).bit_generator.random_raw(words)
-        code = base + np.packbits(_up_bits(block)[:, :m], axis=1, bitorder="little")
+        code = base + block.view(np.uint8)[:, :n_bytes]
         step = net[code]
         start = np.cumsum(step, axis=1)
         end = start[:, -1].copy()
@@ -203,13 +207,13 @@ def sample_identity_pair(
             pairs[:, 1] = run_max
     out /= np.sqrt(float(n))
     if side == "signed":
-        # A fair sign is the one step of a one-step walk: the low half of the
-        # first word of the replicate's sign stream.
+        # A fair sign is the one step of a one-step walk: bit 0 of the first
+        # word of the replicate's sign stream.
         first = [
-            stream(seed, r, domain=_SIGN_DOMAIN).bit_generator.random_raw()
+            stream(seed, r, domain=_SIGN_DOMAIN).bit_generator.random_raw() & 1
             for r in range(replicates)
         ]
-        out[:, 0] *= np.where(_up_bits(np.array(first, dtype=np.uint64))[::2], 1.0, -1.0)
+        out[:, 0] *= np.where(first, 1.0, -1.0)
     return out
 
 
@@ -227,11 +231,12 @@ def _hits_at(hits: np.ndarray, code: np.ndarray, offset: np.ndarray) -> np.ndarr
 def _byte_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tables of a walk's bytes of packed up-steps, indexed by ``256 * L + byte``.
 
-    A byte holds ``L`` in 1..8 steps, the first in its lowest bit.  Relative
-    to the byte's first site the tables give the net displacement, the
-    highest site reached, and the visits to each offset -9..9 (19 entries
-    per byte, flat; the ones at +-9 stay zero, so a clipped offset counts
-    nothing).
+    A byte holds ``L`` in 1..8 steps, the first in its lowest bit; the bits
+    above the ``L``-th are not read.  Relative to the byte's first site the
+    tables give the net displacement, the highest site reached, and the
+    visits to each offset -9..9 (19 entries per byte, flat; the ones at +-9
+    stay zero, so a clipped offset counts nothing).  The tables are
+    read-only, since every call shares them.
     """
     byte = np.arange(256)
     sites = np.cumsum(2 * ((byte[:, None] >> np.arange(8)) & 1) - 1, axis=1)
@@ -243,4 +248,7 @@ def _byte_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         net[steps] = prefix[:, -1]
         peak[steps] = prefix.max(axis=1)
         hits[steps] = (prefix[:, :, None] == np.arange(-9, 10)).sum(axis=1)
-    return net.ravel(), peak.ravel(), hits.ravel()
+    tables = net.ravel(), peak.ravel(), hits.ravel()
+    for table in tables:
+        table.setflags(write=False)
+    return tables

@@ -26,7 +26,6 @@ from .scaling import (
     _check_finite,
     _check_positive,
     _walk_steps,
-    default_band_width,
     local_time_profile,
 )
 from .walk import simulate_walk
@@ -42,7 +41,7 @@ __all__ = [
 ]
 
 # Written into every report's params; bumped whenever report bytes change.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _EXACT_KS_LIMIT = 10_000
 _ASYMPTOTIC_KS_MIN = 50  # per-sample size from which the Kolmogorov tail holds
@@ -358,9 +357,6 @@ def _report(
         "replicates": config.replicates,
         "n": config.n,
         "t": config.t,
-        # No experiment reads a band width; the key keeps the format-v4
-        # report bytes until format v5 drops it.
-        "eps": default_band_width(config.n),
         "alpha": config.alpha,
         "format_version": FORMAT_VERSION,
         **extra,

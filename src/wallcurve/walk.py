@@ -11,12 +11,14 @@ generator keyed by ``(seed, replicate)``.  Replicates are therefore
 independent, reproducible, and order-insensitive: they can be generated in
 any order (or concurrently) and merged by replicate index.
 
-This module is the only one that turns random words into steps
-(:func:`_up_bits`, read by :func:`walk_sites` and the identity sampler) or
-counts blocks (:meth:`OccupationField.drop`, the streaming wall).  Philox
-draws do not depend on how they are chunked, so a walk extended chunk by
-chunk from one generator, and a wall fed chunk by chunk, match the one-shot
-versions exactly.
+The step rule (stream format v6): step ``k`` of a stream goes up when bit
+``k mod 64`` of raw Philox word ``k div 64`` is set, lowest bit first, so
+one word holds 64 steps.  :func:`walk_sites` is the one reader of that rule,
+addressed by step index; the identity sampler reads the same bits as bytes
+straight from the words.  :meth:`OccupationField.drop` is the one block
+counter, the streaming wall.  A read of steps ``first .. first + count - 1``
+depends on nothing but its address, so a walk read chunk by chunk, and a
+wall fed chunk by chunk, match the one-shot versions exactly.
 """
 
 from __future__ import annotations
@@ -78,40 +80,29 @@ class OccupationField:
         return OccupationField(min_site=lo, counts=counts), heights
 
 
-def _up_bits(words: np.ndarray) -> np.ndarray:
-    """The up-steps in raw 64-bit Philox words, two per word, as booleans.
+def walk_sites(
+    seed: int, replicate: int, domain: int, first: int, count: int, start: int = 0
+) -> np.ndarray:
+    """Sites of steps ``first .. first + count - 1`` of one stream, from ``start``.
 
-    The one bit rule: a step goes up when bit 31 of its 32-bit half is set,
-    low half first (the ``int32`` view is low half first on a little-endian
-    host), which is the bit ``rng.integers(0, 2)`` reads.  The last axis
-    doubles in length.
+    The one step reader: ``count + 1`` int64 sites, ``start`` first.  It
+    builds the :func:`stream` of ``(seed, replicate, domain)`` once, skips
+    ``first // 256`` whole Philox counter blocks of 4 words with ``advance``,
+    draws the words that hold the steps and slices their bits, lowest first.
+    Reading ``[a, b)`` and then ``[b, c)`` from the last site gives the walk
+    that reading ``[a, c)`` gives.
     """
-    return words.view(np.int32) < 0
-
-
-def walk_sites(rng: np.random.Generator, n_steps: int, start: int = 0) -> np.ndarray:
-    """Sites of ``n_steps`` fair +/-1 steps from ``start``, ``start`` first.
-
-    The one step source: each step is one fair bit drawn from ``rng`` (a
-    caller-built :func:`stream`).  Continuing from the last site with the
-    same generator extends the walk exactly as one longer call would.
-
-    The bits are those ``rng.integers(0, 2)`` would give (:func:`_up_bits`).
-    Whole words are read raw, two steps each.  A half-word left pending by
-    an earlier draw, and an odd last step, go through ``integers``, so the
-    generator is left as ``integers`` would leave it.
-    """
-    sites = np.empty(n_steps + 1, dtype=np.int64)
+    word, skip = divmod(first, 64)
+    bit_generator = stream(seed, replicate, domain).bit_generator
+    bit_generator.advance(word // 4)
+    drop = word % 4
+    words = bit_generator.random_raw(drop + -(-(skip + count) // 64))[drop:]
+    # Little-endian bytes: bit k of a word is bit k % 8 of its byte k // 8.
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    sites = np.empty(count + 1, dtype=np.int64)
     sites[0] = start
-    bits = sites[1:]
-    if n_steps and rng.bit_generator.state["has_uint32"]:
-        bits[0] = rng.integers(0, 2, dtype=np.int64)
-        bits = bits[1:]
-    words, odd = divmod(len(bits), 2)
-    bits[: 2 * words] = _up_bits(rng.bit_generator.random_raw(words))
-    if odd:
-        bits[-1] = rng.integers(0, 2, dtype=np.int64)
     steps = sites[1:]
+    steps[:] = bits[skip : skip + count]
     steps *= 2
     steps -= 1
     return np.cumsum(sites, out=sites)
@@ -124,7 +115,7 @@ def simulate_walk(n_steps: int, seed: int) -> np.ndarray:
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    return walk_sites(stream(seed, 0, domain=0), n_steps)
+    return walk_sites(seed, 0, 0, 0, n_steps)
 
 
 def _running_visit_rank(idx: np.ndarray, tally: np.ndarray) -> np.ndarray:

@@ -218,14 +218,16 @@ def test_coverage_first_cover_times_stable_under_extension():
 
 
 def test_coverage_first_cover_times_match_point_loop():
-    # Both runs go past the first block at n = 10**4.  Heights up to 3 are out
-    # of reach, so the first walks its whole budget and revisits cells; the
-    # second covers its grid at step 67645 and reports that exact step.
+    # Both runs have first covers on both sides of the first block's end at
+    # n = 10**4.  Heights up to 3 are out of reach, so the first walks its
+    # whole budget and revisits cells (249 of 300 covered, the last at step
+    # 65726); the second covers its grid at step 78137 and reports that
+    # exact step.
     n = 10**4
     first_block_end = curve._BLOCK_STEPS / n
     cases = [
-        (5, Window(-0.5, 0.5, 3.0), 0.1, 70_000, 70_000),
-        (1, Window(-1.0, 1.0, 0.5), 0.05, 100_000, 67_645),
+        (2, Window(-0.5, 0.5, 3.0), 0.1, 70_000, 70_000),
+        (2, Window(-1.0, 1.0, 0.5), 0.05, 100_000, 78_137),
     ]
     for seed, window, delta, budget, steps_used in cases:
         report = coverage_check(seed, window, delta, budget, n)

@@ -21,71 +21,71 @@ SMALL_VERIFY = ("--n", "1000", "--replicates", "500")
 GOLDEN = {
     "walk": (
         ("walk", "--steps", "10000"),
-        "da6b9483748e438a4b05bef70870256c1b19de4d609b0e832aa6bbe19f6b8b22",
+        "bc31fe65a908f410d650c974b12aaf53a775f6f288b39e3710a303acd4a3b107",
     ),
     "curve-occupation": (
         ("curve", "--estimator", "occupation"),
-        "714c711333282ac3443c9e0775f0bf11440310e1883c100f9175fcbf0380e226",
+        "d207091eb28255331ee6e3785bab643537d12750c825a872505b140e7a2615f1",
     ),
     "curve-band": (
         ("curve", "--estimator", "band"),
-        "204263b1595043ce60db8797cf462f28cd720b80a3ea22135f02eacf96860219",
+        "604055e649337c0f55750697b5fd63373b560dc091f7ef6f2e8777b73be1ee3b",
     ),
     # The two extremes of the band at n = 10**4: narrower than one lattice
     # step (0.01), and wider than the whole path, so every segment meets it.
     "curve-band-narrow": (
         ("curve", "--estimator", "band", "--eps", "0.005"),
-        "18969c690bf740dba5432f8e0703f69f4825c04d8e3cbfff71a05053dfc1efcc",
+        "3b012c03101ece0cda8eedd49cd62a9066859b96f96cdc0e86b8a3a5f59f2f0b",
     ),
     "curve-band-wide": (
         ("curve", "--estimator", "band", "--eps", "5"),
-        "d9f4737afca14dc32abfb01affa86405b076f48f702ea4c84d56213f5ca7075b",
+        "e682fc3b2d14c6cbae656b1b333f8a47f72a6013ff836dafcbe084b027f84708",
     ),
     "profile-band": (
         ("profile", "--estimator", "band"),
-        "2a3735e8cca7b74173400d3dab26f85cedcfd972e3b641624a3394a0811e1971",
+        "f8f5ababce1c9907fff3a9c4a324779322e1498fd00132222681d1a1889d8419",
     ),
     "profile-occupation": (
         ("profile", "--estimator", "occupation"),
-        "0b78dd97d3aa24fc1ddc105b2771e7225fe77ad40eeb9ec53f461fcbfa28da11",
+        "4244e76821fd821f1eee0098bfa3a4f44eea2abd33abf89a66d936bd70a7ae31",
     ),
     "walk-json": (
         ("walk", "--steps", "1000", "--format", "json"),
-        "959b6713f08c6786958491209db5f09d2e57ed99dfbcfd29462996c9b0dbcdbe",
+        "949174f1cb347340cf4711f3416e44a567d9c9abc4b5094119a1b0b0a0e04470",
     ),
     "curve-json": (
         ("curve", "--format", "json"),
-        "b767622cbf8f8c8022d71e56722c9da9a7c5e577cd92bc32c893b92c9c0c8aed",
+        "4ea11cc207722972c79bb8ecc27081f8060cad3bc4729cb0cda3add8d57c42ca",
     ),
     "profile-json": (
         ("profile", "--format", "json"),
-        "ff316508246fc012550c9447d82bd9c8e8b4bf60e0cbab67a1eb4847d3e95c37",
+        "e8d038d0376af9f95b9c366418fea869f129193ce1eb59a17d5b0365f0f5b7ca",
     ),
     "verify-density": (
         ("verify", "density", *SMALL_VERIFY),
-        "d04c8697d58ad01289312dadf41934b3a5d01f166169c42b04202497c55c977b",
+        "3e092668f9fa340a2a8eb6626ed17bb03be7b5a1bc00b12fd63cfa1a8d729734",
     ),
     "verify-reversal": (
         ("verify", "reversal", *SMALL_VERIFY),
-        "a81cbdf1d1979f228bc93cc97bfd2ad5f737238db9ab6bc44e244a043869d465",
+        "cd468515ec03ed35e1bc2e3329ba4f6a6c9431f5603676e1cec0d4364e2ff9c4",
     ),
     "verify-levy": (
         ("verify", "levy", *SMALL_VERIFY),
-        "cef1d6825aedf54c9cf2e1e898fd6743ccc274aec1db300af441aaab768bc4d6",
+        "a2ad2634ca2833affec5ea3ca3da5e063be8450789151b5982a71964b6c91cf7",
     ),
     "verify-signed": (
         ("verify", "signed", *SMALL_VERIFY),
-        "82d82fa04c64e32de52291127f9581dfbebf4399a45bc56c95b4507ef6593a45",
+        "e07e1c3c8eb346dec1ea7a2061d90495fe43edfb982e33fb7cac4e9b500f4698",
     ),
     "verify-knight": (
         ("verify", "knight", *SMALL_VERIFY),
-        "402cfb4d844886475f3b1de331d76033869fff97e2614c31403ba570a1deca09",
+        "a237704dbfb166d3f217feee8841ba22e1c6c804f30299a38f7fb11b1566968f",
     ),
     # 200000 steps stream through four 65536-step blocks, the last one
     # partial, and leave the grid uncovered, so all of them are walked.
     "verify-coverage": (
         ("verify", "coverage", "--n", "10000", "--budget", "200000"),
-        "b2f035659611186e1b94e296b26356a9216945b83b04d1c43a51773c49639a92",
+        "5f7366f30d3af9a076276962be47d260e2094bd64f503dd5c7341013f6cdfd54",
     ),
 }
 
@@ -93,7 +93,7 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_output_matches_golden_hash(tmp_path, name):
     # The hashes above were recorded at this format version.
-    assert FORMAT_VERSION == 5
+    assert FORMAT_VERSION == 6
     argv, digest = GOLDEN[name]
     out = tmp_path / name
     main([*argv, "--seed", SEED, "-o", str(out)])

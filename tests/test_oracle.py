@@ -19,7 +19,6 @@ from wallcurve import (
     reflection_tail,
     sample_exact,
     sample_identity_pair,
-    stream,
 )
 from wallcurve.oracle import IDENTITY_SIDES
 from wallcurve.walk import walk_sites
@@ -204,7 +203,7 @@ def _reference_identity_pair(seed: int, m: int, side: str, replicates: int) -> n
     domain = {"lhs": 0, "reversal": 1, "levy": 2, "signed": 2}[side]
     pairs = []
     for r in range(replicates):
-        sites = walk_sites(stream(seed, r, domain=domain), m)
+        sites = walk_sites(seed, r, domain, 0, m)
         end = sites[-1]
         if side == "lhs":
             pair = [end, np.count_nonzero(sites == end)]
@@ -214,7 +213,7 @@ def _reference_identity_pair(seed: int, m: int, side: str, replicates: int) -> n
             top = sites.max()
             pair = [top - end, top]
         if side == "signed":
-            pair[0] *= walk_sites(stream(seed, r, domain=3), 1)[1]
+            pair[0] *= walk_sites(seed, r, 3, 0, 1)[1]
         pairs.append(pair)
     return np.array(pairs, dtype=float) / np.sqrt(float(m))
 
@@ -222,21 +221,38 @@ def _reference_identity_pair(seed: int, m: int, side: str, replicates: int) -> n
 @settings(max_examples=150, deadline=None)
 @given(
     side=st.sampled_from(IDENTITY_SIDES),
-    m=st.integers(1, 40),
+    m=st.integers(1, 200),
     replicates=st.integers(1, 12),
-    block_words=st.integers(1, 48),
+    block_bytes=st.integers(1, 400),
     seed=st.integers(0, 2**64 - 1),
 )
-@example(side="lhs", m=1, replicates=3, block_words=1, seed=0)
-@example(side="reversal", m=8, replicates=5, block_words=8, seed=1)
-@example(side="levy", m=17, replicates=7, block_words=27, seed=2)
-@example(side="signed", m=40, replicates=12, block_words=48, seed=3)
-def test_identity_sampler_equals_per_replicate_walks(side, m, replicates, block_words, seed):
+@example(side="lhs", m=1, replicates=3, block_bytes=1, seed=0)
+@example(side="reversal", m=8, replicates=5, block_bytes=8, seed=1)
+@example(side="levy", m=17, replicates=7, block_bytes=27, seed=2)
+@example(side="signed", m=40, replicates=12, block_bytes=48, seed=3)
+@example(side="lhs", m=63, replicates=5, block_bytes=16, seed=4)
+@example(side="reversal", m=64, replicates=6, block_bytes=8, seed=5)
+@example(side="levy", m=65, replicates=7, block_bytes=40, seed=6)
+@example(side="signed", m=129, replicates=9, block_bytes=100, seed=7)
+def test_identity_sampler_equals_per_replicate_walks(side, m, replicates, block_bytes, seed):
     # A small block cap splits the replicates into blocks, the last one
-    # partial; m covers walks under one byte, whole bytes and odd lengths.
-    with mock.patch.object(oracle, "_BLOCK_WORDS", block_words):
+    # partial; m covers walks under one byte, whole bytes, odd lengths and
+    # walks of one, two and three words.
+    with mock.patch.object(oracle, "_BLOCK_BYTES", block_bytes):
         pairs = sample_identity_pair(1.0, seed, m, side, replicates)
     assert np.array_equal(pairs, _reference_identity_pair(seed, m, side, replicates))
+
+
+def test_identity_sampler_keeps_no_state_between_calls():
+    # Interleaved sides in one process: the second lhs call equals the first.
+    args = (1.0, 9, 1000)
+    lhs = sample_identity_pair(*args, "lhs", 300)
+    levy = sample_identity_pair(*args, "levy", 300)
+    again = sample_identity_pair(*args, "lhs", 300)
+    assert np.array_equal(lhs, again)
+    assert np.array_equal(levy, sample_identity_pair(*args, "levy", 300))
+    for table in oracle._byte_tables():
+        assert not table.flags.writeable
 
 
 def test_exact_sampler_matches_model_moments():

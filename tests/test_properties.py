@@ -20,44 +20,44 @@ def _split(data, n: int) -> list[int]:
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=seeds, n_steps=step_counts, data=st.data())
-def test_chained_draws_equal_one_draw(seed, n_steps, data):
-    whole = walk_sites(stream(seed, 3, domain=1), n_steps)
-    rng = stream(seed, 3, domain=1)
-    chained = walk_sites(rng, 0)
+@given(seed=seeds, n_steps=step_counts, first=st.integers(0, 2**20), data=st.data())
+def test_chained_draws_equal_one_draw(seed, n_steps, first, data):
+    whole = walk_sites(seed, 3, 1, first, n_steps)
+    chained = walk_sites(seed, 3, 1, first, 0)
     bounds = _split(data, n_steps)
     for a, b in zip(bounds, bounds[1:]):
-        chunk = walk_sites(rng, b - a, start=int(chained[-1]))
+        chunk = walk_sites(seed, 3, 1, first + a, b - a, start=int(chained[-1]))
         chained = np.concatenate([chained, chunk[1:]])
     assert np.array_equal(chained, whole)
 
 
-def _reference_walk_sites(rng, n_steps: int, start: int = 0) -> np.ndarray:
-    """The step source as first written: one ``integers`` bit per step."""
-    steps = 2 * rng.integers(0, 2, size=n_steps, dtype=np.int64) - 1
-    return np.cumsum(np.concatenate([[start], steps]))
+def _reference_walk_sites(seed, first: int, count: int, start: int) -> np.ndarray:
+    """The step rule read plainly: every word up to the last step, unpacked."""
+    words = stream(seed, 5, domain=2).bit_generator.random_raw(-(-(first + count) // 64))
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little")[first : first + count]
+    return np.cumsum(np.concatenate([[start], 2 * bits.astype(np.int64) - 1]))
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=seeds, n_steps=step_counts, lead=st.integers(0, 5), start=st.integers(-9, 9))
-@example(seed=0, n_steps=0, lead=1, start=0)
-@example(seed=0, n_steps=1, lead=0, start=0)
-@example(seed=0, n_steps=1, lead=1, start=0)
-@example(seed=0, n_steps=2999, lead=1, start=0)
-@example(seed=0, n_steps=3000, lead=1, start=0)
-def test_walk_sites_reads_the_bits_integers_gives(seed, n_steps, lead, start):
-    # An odd ``lead`` leaves the stream mid-word, with a half-word pending.
-    rng, ref = stream(seed, 5, domain=2), stream(seed, 5, domain=2)
-    rng.integers(0, 2, size=lead)
-    ref.integers(0, 2, size=lead)
-    sites = walk_sites(rng, n_steps, start=start)
+@given(
+    seed=seeds,
+    first=st.integers(0, 2**16),
+    count=step_counts,
+    start=st.integers(-9, 9),
+)
+# Word and Philox-block edges: step 64 opens word 1, step 256 opens block 1.
+@example(seed=0, first=0, count=0, start=0)
+@example(seed=0, first=0, count=3000, start=0)
+@example(seed=0, first=63, count=2, start=0)
+@example(seed=0, first=64, count=1, start=0)
+@example(seed=0, first=65, count=63, start=0)
+@example(seed=0, first=255, count=2, start=0)
+@example(seed=0, first=256, count=256, start=0)
+@example(seed=0, first=257, count=1, start=0)
+def test_walk_sites_reads_the_unpacked_bits(seed, first, count, start):
+    sites = walk_sites(seed, 5, 2, first, count, start=start)
     assert sites.dtype == np.int64
-    assert np.array_equal(sites, _reference_walk_sites(ref, n_steps, start))
-    # Compare next draws, not state dicts: ``uinteger`` is stale while no
-    # half-word is pending.  Odd sizes leave each side mid-word once more.
-    assert np.array_equal(rng.integers(0, 2, size=3), ref.integers(0, 2, size=3))
-    assert np.array_equal(rng.bit_generator.random_raw(3), ref.bit_generator.random_raw(3))
-    assert np.array_equal(rng.integers(0, 2, size=5), ref.integers(0, 2, size=5))
+    assert np.array_equal(sites, _reference_walk_sites(seed, first, count, start))
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,9 +112,9 @@ def test_heights_count_up_per_site(seed, n_steps):
     budget=st.integers(1, 1500),
     block=st.integers(1, 64),
 )
-# Covered at step 443, inside the 64th block of 7 steps.
+# Covered at step 219, inside the 32nd block of 7 steps.
 @example(seed=1, n=16, x_lo=-1.0, width=2.0, h_hi=1.0, delta=0.5, budget=1500, block=7)
-# 69 of 96 cells covered when the budget runs out.
+# 79 of 96 cells covered when the budget runs out.
 @example(seed=0, n=100, x_lo=-2.0, width=3.0, h_hi=2.0, delta=0.25, budget=1500, block=64)
 def test_coverage_report_does_not_depend_on_block_size(
     seed, n, x_lo, width, h_hi, delta, budget, block

@@ -9,6 +9,7 @@ from wallcurve import (
     simulate_walk,
     stream,
 )
+from wallcurve.stats import _chi2_sf
 from wallcurve.walk import walk_sites
 
 
@@ -44,7 +45,7 @@ def test_walk_is_deterministic_at_scale():
 def test_distinct_seeds_and_replicates_differ():
     base = simulate_walk(64, seed=1)
     assert not np.array_equal(base, simulate_walk(64, seed=2))
-    assert not np.array_equal(base, walk_sites(stream(1, 1), 64))
+    assert not np.array_equal(base, walk_sites(1, 1, 0, 0, 64))
 
 
 def test_stream_domains_are_disjoint():
@@ -117,7 +118,63 @@ def test_walk_matches_diffusive_scaling():
     reps, n = 10**4, 10**4
     finals = np.empty(reps)
     for r in range(reps):
-        finals[r] = walk_sites(stream(123, r, domain=0), n)[-1]
+        finals[r] = walk_sites(123, r, 0, 0, n)[-1]
     z = finals / np.sqrt(n)
     assert abs(z.mean()) < 4 / np.sqrt(reps)
     assert abs(z.var(ddof=1) - 1.0) < 0.05
+
+
+# The step source's own statistical check.  Seed, replicates and alpha are
+# fixed here before any run; a failure at this seed is reported, not re-seeded.
+_SOURCE_SEED, _SOURCE_REPLICATES, _SOURCE_ALPHA = 24, 2000, 0.001
+# Reads of 64 steps from the last two steps of word 0 (a word seam, bit 63
+# then bit 0) and of word 7 (a 4-word Philox block seam, reached by advance).
+_SOURCE_FIRSTS = (62, 510)
+
+
+def _read_steps(replicate: int, first: int) -> np.ndarray:
+    """64 up-bits (0/1) of one replicate's stream from step ``first``."""
+    return (np.diff(walk_sites(_SOURCE_SEED, replicate, 0, first, 64)) + 1) // 2
+
+
+def _source_p_values(read) -> list[float]:
+    """Chi-square p-values of a step reader ``read(replicate, first)``.
+
+    One for fairness over every step read, and one per seam for the 16
+    patterns of the 4 consecutive steps that straddle it.
+    """
+    reads = np.array(
+        [[read(r, first) for first in _SOURCE_FIRSTS] for r in range(_SOURCE_REPLICATES)]
+    )
+    ups, total = int(reads.sum()), reads.size
+    p_values = [_chi2_sf(1, (2 * ups - total) ** 2 / total)]
+    expected = _SOURCE_REPLICATES / 16
+    for seam in range(len(_SOURCE_FIRSTS)):
+        patterns = reads[:, seam, :4] @ (1 << np.arange(4))
+        observed = np.bincount(patterns, minlength=16)
+        p_values.append(_chi2_sf(15, float(((observed - expected) ** 2 / expected).sum())))
+    return p_values
+
+
+def test_step_source_is_fair_and_independent_across_seams():
+    assert min(_source_p_values(_read_steps)) > _SOURCE_ALPHA
+
+
+def test_step_source_check_fails_on_mutant_sources():
+    coins = np.random.default_rng(0)
+
+    def biased(replicate, first):
+        # A down-step turns up with probability 0.04: P(up) = 0.52.
+        steps = _read_steps(replicate, first)
+        return steps | (coins.random(len(steps)) < 0.04)
+
+    def seam_copy(replicate, first):
+        # Bit 63 of each word copies bit 0 of the next word.
+        steps = _read_steps(replicate, first)
+        k = first + np.arange(len(steps))
+        last = np.flatnonzero((k % 64 == 63) & (k + 1 < first + len(steps)))
+        steps[last] = steps[last + 1]
+        return steps
+
+    for mutant in (biased, seam_copy):
+        assert min(_source_p_values(mutant)) < _SOURCE_ALPHA, mutant.__name__
