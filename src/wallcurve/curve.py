@@ -196,11 +196,14 @@ def coverage_check(
     (:func:`~wallcurve.walk.walk_sites`), with per-site visit counts
     carried across blocks by the streaming wall
     (:meth:`~wallcurve.walk.OccupationField.drop`), so memory stays
-    bounded.  Each cell keeps the step of its first trace point, and the
-    run stops after the block that covers the grid or spends the budget;
-    the stop test reads the lowest uncovered cell and scans on from it only
-    once that cell is covered.  No result depends on the block size, and
-    covered counts are monotone in the budget.
+    bounded.  Each cell keeps the step of its first trace point.  A site's
+    count goes up one at a time, so only the visits that enter a height row
+    are marked, read off two per-count tables sized from the tallest site
+    so far and doubled as it grows.  The run stops after the block
+    that covers the grid or spends the budget; the stop test reads the
+    lowest uncovered cell and scans on from it only once that cell is
+    covered.  No result depends on the block size, and covered counts are
+    monotone in the budget.
     """
     if not window.x_lo < window.x_hi:
         raise ValueError("window must satisfy x_lo < x_hi")
@@ -224,17 +227,28 @@ def coverage_check(
     first = np.full(total, _UNCOVERED, dtype=np.int64)
     cursor = 0  # the lowest uncovered cell, or ``total`` once there is none
     root_n = np.sqrt(float(n))
+    rows = enters = np.zeros(0, dtype=np.int64)
 
     # ``step`` is the step of ``sites[0]``, so the origin block is step 0.
     wall, step, sites = OccupationField(), 0, walk_sites(seed, 0, 0, 0, 0)
     while True:
         wall, counts = wall.drop(sites)
-        x, h = sites / root_n, counts / root_n
-        # Heights are at least n**-0.5 and x >= x_lo, so no index is negative.
-        inside = np.flatnonzero((x >= window.x_lo) & (x < window.x_hi) & (h < window.h_hi))
-        ix = np.minimum(((x[inside] - window.x_lo) / delta).astype(np.int64), nx - 1)
-        ih = np.minimum((h[inside] / delta).astype(np.int64), nh - 1)
-        np.minimum.at(first, ix * nh + ih, step + inside)
+        tallest = int(wall.counts.max())
+        if tallest >= len(rows):
+            # The row of each visit count c, and whether c is the lowest
+            # count in its row (c = 0 shares row 0 but is never a height).
+            c = np.arange(max(2 * len(rows), tallest + 1))
+            h = c / root_n
+            rows = np.minimum((h / delta).astype(np.int64), nh - 1)
+            enters = (h < window.h_hi) & (c >= 1)
+            enters[2:] &= rows[2:] != rows[1:-1]
+        hit = np.flatnonzero(enters[counts])
+        x = sites[hit] / root_n
+        # x >= x_lo, so no index is negative.
+        keep = (x >= window.x_lo) & (x < window.x_hi)
+        hit, x = hit[keep], x[keep]
+        ix = np.minimum(((x - window.x_lo) / delta).astype(np.int64), nx - 1)
+        np.minimum.at(first, ix * nh + rows[counts[hit]], step + hit)
         step += len(sites)
         if first[cursor] != _UNCOVERED:
             rest = first[cursor:] == _UNCOVERED

@@ -226,7 +226,7 @@ def _band_profile(
 
 def _occupation_profile(path: ScaledPath, t: float, levels: np.ndarray) -> np.ndarray:
     m = _active_segments(t, path.n, path.n_segments)
-    wall = OccupationField().drop(path.positions[: m + 1])[0]
+    wall = OccupationField()._grow(path.positions[: m + 1])[0]
     idx = snap_level(levels, path.n) - wall.min_site
     valid = (idx >= 0) & (idx < len(wall.counts))
     values = np.zeros(len(levels))

@@ -57,15 +57,13 @@ class OccupationField:
     min_site: int = 0
     counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
-    def drop(self, sites: np.ndarray) -> tuple[OccupationField, np.ndarray]:
-        """Drop one block on each of ``sites``, in order.
-
-        Returns the grown wall and each new block's height, i.e. the number
-        of blocks at its site once it is placed.
-        """
+    def _grow(self, sites: np.ndarray) -> tuple[OccupationField, np.ndarray, np.ndarray]:
+        """The wall with one more block on each of ``sites``, the sites'
+        offsets in its window, and the number of new blocks at each of its
+        sites (``np.bincount`` of the offsets over the whole window)."""
         sites = np.asarray(sites, dtype=np.int64)
         if len(sites) == 0:
-            return self, np.zeros(0, dtype=np.int64)
+            return self, sites, np.zeros(len(self.counts), dtype=np.int64)
         lo, hi = int(sites.min()), int(sites.max())
         if len(self.counts):
             lo = min(lo, self.min_site)
@@ -75,9 +73,26 @@ class OccupationField:
         counts[offset : offset + len(self.counts)] = self.counts
         idx = sites - lo
         tally = np.bincount(idx, minlength=len(counts))
-        heights = counts[idx] + _running_visit_rank(idx, tally)
         counts += tally
-        return OccupationField(min_site=lo, counts=counts), heights
+        return OccupationField(min_site=lo, counts=counts), idx, tally
+
+    def drop(self, sites: np.ndarray) -> tuple[OccupationField, np.ndarray]:
+        """Drop one block on each of ``sites``, in order.
+
+        Returns the grown wall and each new block's height, i.e. the number
+        of blocks at its site once it is placed.  A stable sort (radix, on
+        uint16 offsets, when the window fits) groups the blocks by site, so
+        sorted position ``p`` holds height ``p + 1`` plus its site's grown
+        count less the running sum of the tally through that site.
+        """
+        wall, idx, tally = self._grow(sites)
+        key = idx.astype(np.uint16) if len(tally) <= 1 << 16 else idx
+        order = np.argsort(key, kind="stable")
+        heights = np.empty(len(idx), dtype=np.int64)
+        heights[order] = np.arange(1, len(idx) + 1) + np.repeat(
+            wall.counts - np.cumsum(tally), tally
+        )
+        return wall, heights
 
 
 def walk_sites(
@@ -116,23 +131,6 @@ def simulate_walk(n_steps: int, seed: int) -> np.ndarray:
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     return walk_sites(seed, 0, 0, 0, n_steps)
-
-
-def _running_visit_rank(idx: np.ndarray, tally: np.ndarray) -> np.ndarray:
-    """Rank of each entry among equal entries, in time order (1-based).
-
-    Equivalent to walking the array and incrementing a per-site counter.
-    ``idx`` holds non-negative site offsets and ``tally`` is
-    ``np.bincount(idx)``, possibly zero-padded; one stable sort groups the
-    offsets (as uint16, by linear-time radix sort, when the tally fits) and
-    each group's start in sorted order comes from the tally.
-    """
-    key = idx.astype(np.uint16) if len(tally) <= 1 << 16 else idx
-    order = np.argsort(key, kind="stable")
-    first = np.cumsum(tally) - tally
-    ranks = np.empty(len(idx), dtype=np.int64)
-    ranks[order] = np.arange(1, len(idx) + 1) - first[idx[order]]
-    return ranks
 
 
 def discrete_brick_trace(sites: np.ndarray) -> np.ndarray:

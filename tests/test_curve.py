@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wallcurve import (
     CurveTrace,
@@ -217,6 +219,23 @@ def test_coverage_first_cover_times_stable_under_extension():
     )
 
 
+def _point_loop_cover_times(seed, window, delta, budget, n, shape):
+    """Each cell's first cover time, one trace point at a time."""
+    nx, nh = shape
+    expected = np.full((nx, nh), np.nan)
+    counts = {}
+    root_n = np.sqrt(float(n))
+    for k, site in enumerate(simulate_walk(budget, seed).tolist()):
+        counts[site] = counts.get(site, 0) + 1
+        x, h = site / root_n, counts[site] / root_n
+        if window.x_lo <= x < window.x_hi and 0.0 <= h < window.h_hi:
+            ix = min(int((x - window.x_lo) / delta), nx - 1)
+            ih = min(int(h / delta), nh - 1)
+            if np.isnan(expected[ix, ih]):
+                expected[ix, ih] = k / n
+    return expected
+
+
 def test_coverage_first_cover_times_match_point_loop():
     # Both runs have first covers on both sides of the first block's end at
     # n = 10**4.  Heights up to 3 are out of reach, so the first walks its
@@ -231,24 +250,42 @@ def test_coverage_first_cover_times_match_point_loop():
     ]
     for seed, window, delta, budget, steps_used in cases:
         report = coverage_check(seed, window, delta, budget, n)
-        nx, nh = report.first_cover_time.shape
-        expected = np.full((nx, nh), np.nan)
-        counts = {}
-        root_n = np.sqrt(float(n))
-        for k, site in enumerate(simulate_walk(budget, seed).tolist()):
-            counts[site] = counts.get(site, 0) + 1
-            x, h = site / root_n, counts[site] / root_n
-            if window.x_lo <= x < window.x_hi and 0.0 <= h < window.h_hi:
-                ix = min(int((x - window.x_lo) / delta), nx - 1)
-                ih = min(int(h / delta), nh - 1)
-                if np.isnan(expected[ix, ih]):
-                    expected[ix, ih] = k / n
+        shape = report.first_cover_time.shape
+        expected = _point_loop_cover_times(seed, window, delta, budget, n, shape)
         assert np.array_equal(report.first_cover_time, expected, equal_nan=True)
         assert (expected < first_block_end).any() and (expected > first_block_end).any()
         covered = not np.isnan(expected).any()
         assert report.steps_used == steps_used
         assert steps_used == (round(expected.max() * n) if covered else budget)
         assert (report.covered_count == report.total_count) == covered
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.sampled_from([4, 16, 100, 10**4]),
+    cell=st.sampled_from([0.3, 0.5, 0.75, 1.0, 1.5, 2.5, 3.25]),
+    x_lo=st.floats(-40.0, 0.0),
+    width=st.floats(1.0, 60.0),
+    rows=st.floats(1.0, 20.0),
+    budget=st.integers(1, 3000),
+)
+# Rows 2.5 counts high, 7.4 of them: the part row on top holds count 18 alone.
+@example(seed=4, n=100, cell=2.5, x_lo=-20.0, width=40.0, rows=7.4, budget=3000)
+# Rows 0.5 counts high: each count skips a row.
+@example(seed=4, n=16, cell=0.5, x_lo=-20.0, width=40.0, rows=19.5, budget=3000)
+def test_coverage_marks_match_point_loop(seed, n, cell, x_lo, width, rows, budget):
+    # Lengths are drawn in lattice units: ``cell`` is delta * sqrt(n), so
+    # rows start between counts (2.5), one count skips rows (below 1), or
+    # rows and counts align (1.0); ``rows`` is h_hi / delta, not whole
+    # unless drawn so, which leaves a part row on top.
+    root_n = np.sqrt(float(n))
+    delta = cell / root_n
+    window = Window(x_lo / root_n, (x_lo + width) / root_n, rows * delta)
+    report = coverage_check(seed, window, delta, budget, n)
+    shape = report.first_cover_time.shape
+    expected = _point_loop_cover_times(seed, window, delta, budget, n, shape)
+    assert np.array_equal(report.first_cover_time, expected, equal_nan=True)
 
 
 def test_height_jumps_shrink_with_scale():

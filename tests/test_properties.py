@@ -103,6 +103,40 @@ def test_heights_count_up_per_site(seed, n_steps):
 
 @settings(max_examples=60, deadline=None)
 @given(
+    chunks=st.lists(
+        st.lists(st.integers(0, 40) | st.integers(0, 2**17), max_size=40),
+        min_size=1,
+        max_size=5,
+    ),
+    shifts=st.lists(st.integers(-(2**17), 2**17), min_size=5, max_size=5),
+)
+# The second chunk grows the window 70000 sites downwards and revisits
+# site 0, so its offsets span more than 2**16 and are sorted as int64:
+# as uint16, offset 70000 would sort before offset 5000.
+@example(
+    chunks=[[0, 1, 1, 0, 40], [5000, 70000, 5000, 0, 70000]],
+    shifts=[0, -70000, 0, 0, 0],
+)
+def test_chunked_drops_match_a_dict_counter(chunks, shifts):
+    # Arbitrary sites, not a walk: chunk k is shifted by shifts[0..k], so
+    # the window may grow downwards or upwards between chunks, with holes.
+    tally: dict[int, int] = {}
+    wall, base = OccupationField(), 0
+    for chunk, shift in zip(chunks, shifts):
+        base += shift
+        sites = np.array(chunk, dtype=np.int64) + base
+        expected = []
+        for site in sites.tolist():
+            tally[site] = tally.get(site, 0) + 1
+            expected.append(tally[site])
+        wall, heights = wall.drop(sites)
+        assert heights.tolist() == expected
+    blocks = dict(enumerate(wall.counts.tolist(), wall.min_site))
+    assert {site: count for site, count in blocks.items() if count} == tally
+
+
+@settings(max_examples=60, deadline=None)
+@given(
     seed=seeds,
     n=st.sampled_from([4, 16, 100]),
     x_lo=st.floats(-2.0, 0.0),
