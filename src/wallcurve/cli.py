@@ -1,12 +1,16 @@
 """Command-line front end: simulate, trace, profile, verify.
 
 Tables are formatted by column: CSV (comma-delimited, header row, newline
-"\\n", integer columns as integers, float columns to 17 significant digits)
-or JSON records of the same values (canonical key order), so that every file
-round-trips byte-identically through parse/re-serialize.
+"\\n", integer columns as integers, float columns as ``%.17g``) or JSON
+records of the same values (canonical key order, floats as ``repr``), so that
+every file round-trips byte-identically through parse/re-serialize.  Every
+CSV cell comes from a numpy kernel; ``%`` formats, one at a time, only the
+float cells outside fixed notation, zeros and non-finite values.  A JSON table
+with a float column goes through a ``%`` template.
 
 Exit codes for ``verify``: 0 pass, 1 statistical fail, 2 usage error.  Any
-command exits 2 on bad input, a request too large to allocate included.
+command exits 2 on bad input, a request too large to allocate included, and
+141 (128 + SIGPIPE) when the reader of stdout closes it early.
 Seeds are always explicit flags or the reported default; there is no
 environment-variable override.
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Iterable, Iterator
@@ -33,8 +38,8 @@ MAX_DEFAULT_ROWS = 100_000
 
 _VERIFY_NAMES = {name.removeprefix("identity-"): name for name in EXPERIMENTS}
 
-# Table cell format per numpy dtype kind; CSV rows are built from it.  JSON
-# writes finite floats with ``repr``, so its records use ``%r`` instead.
+# Table cell format per numpy dtype kind; the CSV kernels give its bytes.
+# JSON writes finite floats with ``repr``, so its records use ``%r`` instead.
 _CELL = {"i": "%d", "u": "%d", "f": "%.17g"}
 _JSON_CELL = {**_CELL, "f": "%r"}
 _BLOCK = 1 << 16  # table rows formatted per write
@@ -70,26 +75,114 @@ def _int_cells(column: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _int_rows(pieces: list[bytes], columns) -> bytes:
-    """Rows of integer cells between literal ``pieces``, NUL padding removed."""
+_E_LO, _E_HI = -4, 16  # the decimal exponents '%.17g' writes in fixed notation
+# 5**p in 32-bit halves, for the p = 16 - E of the fixed range.
+_POW5_HI, _POW5_LO = np.array([divmod(5**p, 2**32) for p in range(17 - _E_LO)], np.uint64).T
+_SLOT = np.arange(18)
+_BEFORE = _SLOT < _SLOT[:, None]  # row P: the slots left of the point's slot P
+_UPTO = _SLOT <= _SLOT[:, None]  # row L: the slots of the first L digits, moved one right
+# The sign, then "0." and zeros before the digits when E < 0; by
+# 2 * (min(E, 0) - _E_LO) + (v < 0).
+_HEAD = np.array(
+    [list(sign + (b"0." + b"0" * (-1 - e) if e < 0 else b"").ljust(7, b"\0"))
+     for e in range(_E_LO, 1) for sign in (b"\0", b"-")],
+    np.uint8,
+)
+
+
+def _significand(m: np.ndarray, q: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``round_half_even(m * 2**q * 10**(16 - e))``, exactly, in uint64.
+
+    ``m * 5**(16 - e)`` is built in two words from 32-bit limb products, and
+    the rest of the power of two is a right shift by ``0 < k < 64`` bits.
+    """
+    p = 16 - e
+    f_lo, f_hi = _POW5_LO[p], _POW5_HI[p]
+    m_lo, m_hi = m & 0xFFFFFFFF, m >> 32
+    low = m_lo * f_lo
+    mid = m_lo * f_hi + m_hi * f_lo + (low >> 32)
+    high = m_hi * f_hi + (mid >> 32)
+    low = (mid << 32) | (low & 0xFFFFFFFF)
+    k = (-p - q).astype(np.uint64)
+    n = (high << (64 - k)) | (low >> k)
+    rest, half = low & ((1 << k) - 1), 1 << (k - 1)
+    return n + ((rest > half) | ((rest == half) & (n & 1).astype(bool)))
+
+
+def _float_cells(column: np.ndarray) -> np.ndarray:
+    """The ``'%.17g' % v`` text of a float column: one uint8 row per cell.
+
+    A cell in fixed notation is rendered here from its 17 significant digits
+    ``N = round_half_even(|v| * 10**(16 - E))`` (:func:`_significand`), with
+    ``E = floor(log10|v|)`` moved by one where ``N`` falls outside
+    ``[10**16, 10**17)``.  Digits are shown up to the last nonzero one or the
+    units digit, whichever comes later; the point follows digit ``E`` when a
+    shown digit comes after it.  Zeros, non-finite values and cells outside
+    fixed notation (``|v| < 1e-4`` or ``|v| >= 1e17``) are formatted by ``%``
+    one at a time.  NUL bytes pad the rows; the caller drops them.
+    """
+    magnitude = np.abs(column)
+    # '%.17g' writes |v| in [1e-4, 1e17) in fixed notation: rounded to 17
+    # digits, no double crosses either end.  1.0 stands in for the rest.
+    fixed = (magnitude >= 10.0**_E_LO) & (magnitude < 10.0 ** (_E_HI + 1))
+    magnitude = np.where(fixed, magnitude, 1.0)
+    e = np.clip(np.floor(np.log10(magnitude)), _E_LO, _E_HI).astype(np.int64)
+    fraction, exponent = np.frexp(magnitude)
+    m, q = (fraction * 2.0**61).astype(np.uint64), exponent - 61
+    n = _significand(m, q, e)
+    # Where log10 rounds across a power of ten, N has 16 or 18 digits.
+    off = (n >= 10**17).astype(np.int64) - (n < 10**16)
+    redo = np.flatnonzero(off)
+    e[redo] += off[redo]
+    n[redo] = _significand(m[redo], q[redo], e[redo])
+    fixed &= (n >= 10**16) & (n < 10**17)  # only an N shown to have 17 digits is laid out
+    # Digits 0-8 come from the top nine, 9-16 from the low eight; slot 17 is spare.
+    words = [(n // 10**8).astype(np.uint32), (n % 10**8).astype(np.uint32)]
+    digits = np.zeros((len(column), 18), np.uint8)
+    for j in range(16, -1, -1):
+        word = words[j > 8]
+        words[j > 8] = word // 10
+        digits[:, j] = word - words[j > 8] * 10 + ord("0")
+    last = 17 - np.argmax(digits[:, 16::-1] != ord("0"), axis=1)  # L, to the last nonzero digit
+    # The point's slot P follows digit E, or comes first when E < 0.  Left of
+    # it the digits stay; right of it they move one slot, the first L kept.
+    point = np.maximum(e, -1) + 1
+    shifted = np.zeros_like(digits)
+    shifted[:, 1:] = digits[:, :17] * np.take(_UPTO[:, 1:], last, axis=0)
+    body = np.where(np.take(_BEFORE, point, axis=0), digits, shifted)
+    dot = (e >= 0) & (e < last - 1)
+    body.reshape(-1)[np.arange(0, body.size, 18) + point] = np.where(dot, ord("."), 0)
+    head = np.take(_HEAD, 2 * (np.minimum(e, 0) - _E_LO) + (column < 0), axis=0)
+    cells = np.concatenate([head, body], axis=1)
+    for i in np.flatnonzero(~fixed).tolist():
+        text = (_CELL["f"] % column[i]).encode()
+        cells[i] = 0
+        cells[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return cells
+
+
+def _rows(pieces: list[bytes], columns) -> bytes:
+    """Rows of integer or float cells between literal ``pieces``, NUL padding removed."""
     n = len(columns[0])
     parts = [np.broadcast_to(np.frombuffer(pieces[0], np.uint8), (n, len(pieces[0])))]
     for column, piece in zip(columns, pieces[1:]):
-        parts.append(_int_cells(column))
+        parts.append(_float_cells(column) if column.dtype.kind == "f" else _int_cells(column))
         parts.append(np.broadcast_to(np.frombuffer(piece, np.uint8), (n, len(piece))))
-    return np.concatenate(parts, axis=1).tobytes().replace(b"\0", b"")
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
 def _table(fmt: str, header: list[str], columns, stride: int = 1) -> Iterator[str]:
     """A table of numpy columns as text: one CSV row per index, or JSON records.
 
-    Rows come from one ``%`` template built from the column dtypes (a JSON
-    record lists its keys in sorted order, as ``json.dumps(sort_keys=True,
-    indent=2)`` does) and are produced ``_BLOCK`` rows at a time, so memory
-    stays flat.  A table of integer columns only is rendered by numpy
-    (:func:`_int_cells`) into the same bytes; any float column sends the
-    table through the template.  JSON has no token for a non-finite float,
-    so a JSON table holding one raises ``ValueError``.
+    Rows are produced ``_BLOCK`` at a time, so memory stays flat.  Every CSV
+    cell, and every cell of a JSON table of integer columns only, comes from
+    a numpy kernel (:func:`_int_cells`, :func:`_float_cells`) that gives the
+    bytes of the ``_CELL`` format.  A JSON table with a float column goes
+    row by row through a ``%`` template, as floats there are ``repr``, the
+    shortest round-tripping text; a JSON record lists its keys in sorted
+    order, as ``json.dumps(sort_keys=True, indent=2)`` does.  JSON has no
+    token for a non-finite float, so a JSON table holding one raises
+    ``ValueError``.
     """
     columns = [c[::stride] for c in columns]
     if fmt == "json":
@@ -102,17 +195,17 @@ def _table(fmt: str, header: list[str], columns, stride: int = 1) -> Iterator[st
         template = "  {\n" + ",\n".join(fields) + "\n  }"
         head, sep, tail = "[\n", ",\n", "\n]\n"
     else:
-        template = ",".join(_CELL[c.dtype.kind] for c in columns) + "\n"
+        template = ",".join(["%d"] * len(columns)) + "\n"  # the cells' places only
         head, sep, tail = ",".join(header) + "\n", "", ""
-    integer = all(c.dtype.kind in "iu" for c in columns)
+    kernel = fmt == "csv" or all(c.dtype.kind in "iu" for c in columns)
     # The kernel ends every row with ``sep``: a block cuts its last one, and
     # the next block starts with it.
     pieces = [p.encode() for p in (template + sep).split("%d")]
     yield head
     for start in range(0, len(columns[0]), _BLOCK):
         block = [c[start : start + _BLOCK] for c in columns]
-        if integer:
-            text = _int_rows(pieces, block).decode().removesuffix(sep)
+        if kernel:
+            text = _rows(pieces, block).decode().removesuffix(sep)
         else:
             text = sep.join([template % row for row in zip(*(c.tolist() for c in block))])
         yield (sep if start else "") + text
@@ -130,6 +223,7 @@ def _write(path: str | None, chunks: Iterable[str]) -> None:
     if path is None or path == "-":
         sys.stdout.write(first)
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a closed pipe raises here, inside ``main``
         return
     with open(path, "w", newline="\n") as out:
         out.write(first)
@@ -287,6 +381,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout, as ``| head`` does: not bad input.  Point
+        # stdout at devnull, so the flush at interpreter exit cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, the status of a process a closed pipe ends
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,8 +342,8 @@ _UINT64_EDGES = [0, 1, 9, 10, 99, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 def test_json_table_matches_json_module(monkeypatch):
     # Records cross block boundaries; keys are out of order in the header.
-    # The mixed table goes through the % template, the integer one through
-    # the digit kernel.
+    # JSON floats are repr, so the mixed table goes through the % template;
+    # the integer one goes through the digit kernel, as every CSV table does.
     monkeypatch.setattr(cli, "_BLOCK", 3)
     mixed = (
         np.array([3, -1, 0, 7, 2, 5, 9], dtype=np.int64),
@@ -358,13 +362,16 @@ def test_json_table_matches_json_module(monkeypatch):
 
 
 def _template_table(fmt, header, columns, stride):
-    """The reference for integer tables: every row through a ``%d`` template."""
+    """The reference for CSV tables and JSON integer tables: every row through
+    a ``%`` template, ``%d`` for an integer column and ``%.17g`` for a float one."""
+    cells = ["%.17g" if c.dtype.kind == "f" else "%d" for c in columns]
     columns = [c[::stride].tolist() for c in columns]
     if fmt == "json":
-        header, columns = zip(*sorted(zip(header, columns), key=lambda col: col[0]))
-        record = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %d" for name in header) + "\n  }"
+        header, cells, columns = zip(*sorted(zip(header, cells, columns), key=lambda col: col[0]))
+        fields = [f"    {json.dumps(name)}: {cell}" for name, cell in zip(header, cells)]
+        record = "  {\n" + ",\n".join(fields) + "\n  }"
         return "[\n" + ",\n".join(record % row for row in zip(*columns)) + "\n]\n"
-    row = ",".join(["%d"] * len(columns)) + "\n"
+    row = ",".join(cells) + "\n"
     return ",".join(header) + "\n" + "".join(row % r for r in zip(*columns))
 
 
@@ -401,6 +408,88 @@ def test_integer_table_matches_template(fmt, stride, columns):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_BLOCK", 3)  # rows cross block boundaries
         assert "".join(_table(fmt, header, columns, stride)) == expected
+
+
+# Where '%.17g' rounds half to even (12345.000122070312|5), rounds past
+# 10**17 (99999999999999999.0 is 1e17, written 1e+17), or switches between
+# fixed and exponent notation (1e-4, 1e17), with their neighbours one ulp away.
+_FLOAT_EDGES = [
+    12345 + 2**-13, 99999999999999999.0, 0.0, -0.0, 5e-324, 1.7976931348623157e308,
+    *(np.nextafter(10.0**k, to) for k in range(-5, 19) for to in (0, 10.0**k, np.inf)),
+]
+
+
+_FLOATS = st.sampled_from(_FLOAT_EDGES) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def _mixed_columns(draw):
+    """A float column and 0-3 int64, uint64 or float columns of one length, in any order."""
+    n_rows = draw(st.integers(1, 20))
+    values = {
+        "f": _FLOATS,
+        "i": st.integers(-(2**63), 2**63 - 1),
+        "u": st.integers(0, 2**64 - 1),
+    }
+    dtypes = {"f": np.float64, "i": np.int64, "u": np.uint64}
+    kinds = ["f"] + draw(st.lists(st.sampled_from("fiu"), max_size=3))
+    columns = [
+        np.array(draw(st.lists(values[k], min_size=n_rows, max_size=n_rows)), dtypes[k])
+        for k in kinds
+    ]
+    return draw(st.permutations(columns))
+
+
+_FLOAT_EDGE_COLUMNS = [
+    np.array(_FLOAT_EDGES),
+    np.resize(np.array(_INT64_EDGES), len(_FLOAT_EDGES)),
+    -np.array(_FLOAT_EDGES),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(stride=st.sampled_from([1, 2, 7]), columns=_mixed_columns())
+@example(stride=1, columns=_FLOAT_EDGE_COLUMNS)
+@example(stride=2, columns=_FLOAT_EDGE_COLUMNS)
+def test_float_table_matches_template(stride, columns):
+    header = ["x", "h", "a", "k"][: len(columns)]
+    expected = _template_table("csv", header, columns, stride)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BLOCK", 3)  # rows cross block boundaries
+        assert "".join(_table("csv", header, columns, stride)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(_FLOATS, min_size=1, max_size=20))
+@example(values=_FLOAT_EDGES)
+def test_float_kernel_leaves_only_exponent_cells_to_percent(values):
+    # The kernel renders every finite nonzero cell in fixed notation; the rest
+    # go through ``_CELL["f"]``, which here marks them.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_CELL", {**cli._CELL, "f": "%.17g~"})
+        got = "".join(_table("csv", ["x"], [np.array(values)]))
+    texts = ["%.17g" % v for v in values]
+    marked = [t + "~" if "e" in t or "n" in t or float(t) == 0 else t for t in texts]
+    assert got == "x\n" + "".join(t + "\n" for t in marked)
+
+
+def test_closed_stdout_exits_141_quietly():
+    # The reader takes one line and closes the pipe, as ``| head -1`` does,
+    # while the table is still being written.
+    code = (
+        "import sys\n"
+        "from wallcurve.cli import main\n"
+        "sys.exit(main(['walk', '--steps', '100000']))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    with subprocess.Popen(
+        [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert proc.stdout.readline() == b"k,site,height\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 def test_failed_table_leaves_existing_output_file(tmp_path):

@@ -49,6 +49,12 @@ GOLDEN = {
         ("profile", "--estimator", "occupation"),
         "4244e76821fd821f1eee0098bfa3a4f44eea2abd33abf89a66d936bd70a7ae31",
     ),
+    # x crosses 1e-4 and h crosses 1e17, so both columns hold cells in
+    # fixed and in exponent notation, and -0 cells too.
+    "curve-format-switch": (
+        ("curve", "--steps", "2000", "--n", "4", "--c", "-1e-5", "--d", "1e16"),
+        "84eced47cb31117b67728209e3dc072b8747d9be71e6c1a67d64d90dd10c2b66",
+    ),
     "walk-json": (
         ("walk", "--steps", "1000", "--format", "json"),
         "949174f1cb347340cf4711f3416e44a567d9c9abc4b5094119a1b0b0a0e04470",

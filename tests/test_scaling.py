@@ -446,6 +446,24 @@ def test_band_profile_equals_the_per_call_bincount(case):
         assert np.array_equal(got, _band_profile_by_bincount(spath, t, levels, eps))
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+def test_band_local_time_drops_by_rounding_on_recorded_walks():
+    # The bound of test_band_local_time_never_decreases_in_time, on the two
+    # recorded walks where the band estimate falls from t to t + 1/2: the
+    # whole segments' share is a difference of interpolated cumulative
+    # counts, which loses a band measure below one ulp of the count.  A kernel
+    # that holds the bound turns this into a failure; the cases then become
+    # examples of that test.
+    cases = [
+        (_ROUNDING_WALK_12, 2.414213562373095, 1.4142135623730951, 11.5, 12.0),
+        (_ROUNDING_WALK_139, 20.845398302197573, 10.848721470922609, 138.5, 139.0),
+    ]
+    for spath, y, eps, t, later in cases:
+        before = band_local_time(spath, y, t, eps)
+        after = band_local_time(spath, y, later, eps)
+        assert after >= before * (1 - 1e-13), (spath.n_segments, before, after)
+
+
 @st.composite
 def profile_cases(draw):
     """A rescaled walk, a time, a band half-width and a level grid.
