@@ -4,8 +4,8 @@ Tables are formatted by column: CSV (comma-delimited, header row, newline
 "\\n", integer columns as integers, float columns as ``%.17g``) or JSON
 records of the same values (canonical key order, floats as ``repr``), so that
 every file round-trips byte-identically through parse/re-serialize.  Every
-CSV cell comes from a numpy kernel; ``%`` formats, one at a time, only the
-float cells outside fixed notation, zeros and non-finite values.  A JSON table
+CSV cell comes from a numpy kernel; ``%`` formats, in one batch, only the
+float cells outside fixed notation and non-finite values.  A JSON table
 with a float column goes through a ``%`` template.
 
 Exit codes for ``verify``: 0 pass, 1 statistical fail, 2 usage error.  Any
@@ -117,17 +117,18 @@ def _float_cells(column: np.ndarray) -> np.ndarray:
     ``E = floor(log10|v|)`` moved by one where ``N`` falls outside
     ``[10**16, 10**17)``.  Digits are shown up to the last nonzero one or the
     units digit, whichever comes later; the point follows digit ``E`` when a
-    shown digit comes after it.  Zeros, non-finite values and cells outside
-    fixed notation (``|v| < 1e-4`` or ``|v| >= 1e17``) are formatted by ``%``
-    one at a time.  NUL bytes pad the rows; the caller drops them.
+    shown digit comes after it.  A zero is ``0`` or ``-0``.  Non-finite values
+    and cells outside fixed notation (``|v| < 1e-4`` or ``|v| >= 1e17``) are
+    formatted by ``%`` in one batch.  NUL bytes pad the rows; the caller
+    drops them.
     """
     magnitude = np.abs(column)
     # '%.17g' writes |v| in [1e-4, 1e17) in fixed notation: rounded to 17
-    # digits, no double crosses either end.  1.0 stands in for the rest.
-    fixed = (magnitude >= 10.0**_E_LO) & (magnitude < 10.0 ** (_E_HI + 1))
-    magnitude = np.where(fixed, magnitude, 1.0)
-    e = np.clip(np.floor(np.log10(magnitude)), _E_LO, _E_HI).astype(np.int64)
-    fraction, exponent = np.frexp(magnitude)
+    # digits, no double crosses either end.  Only those cells are laid out.
+    fixed = np.flatnonzero((magnitude >= 10.0**_E_LO) & (magnitude < 10.0 ** (_E_HI + 1)))
+    v = magnitude[fixed]
+    e = np.clip(np.floor(np.log10(v)), _E_LO, _E_HI).astype(np.int64)
+    fraction, exponent = np.frexp(v)
     m, q = (fraction * 2.0**61).astype(np.uint64), exponent - 61
     n = _significand(m, q, e)
     # Where log10 rounds across a power of ten, N has 16 or 18 digits.
@@ -135,10 +136,10 @@ def _float_cells(column: np.ndarray) -> np.ndarray:
     redo = np.flatnonzero(off)
     e[redo] += off[redo]
     n[redo] = _significand(m[redo], q[redo], e[redo])
-    fixed &= (n >= 10**16) & (n < 10**17)  # only an N shown to have 17 digits is laid out
+    laid = fixed[(n >= 10**16) & (n < 10**17)]  # only an N shown to have 17 digits is laid out
     # Digits 0-8 come from the top nine, 9-16 from the low eight; slot 17 is spare.
     words = [(n // 10**8).astype(np.uint32), (n % 10**8).astype(np.uint32)]
-    digits = np.zeros((len(column), 18), np.uint8)
+    digits = np.zeros((len(v), 18), np.uint8)
     for j in range(16, -1, -1):
         word = words[j > 8]
         words[j > 8] = word // 10
@@ -152,12 +153,21 @@ def _float_cells(column: np.ndarray) -> np.ndarray:
     body = np.where(np.take(_BEFORE, point, axis=0), digits, shifted)
     dot = (e >= 0) & (e < last - 1)
     body.reshape(-1)[np.arange(0, body.size, 18) + point] = np.where(dot, ord("."), 0)
-    head = np.take(_HEAD, 2 * (np.minimum(e, 0) - _E_LO) + (column < 0), axis=0)
-    cells = np.concatenate([head, body], axis=1)
-    for i in np.flatnonzero(~fixed).tolist():
-        text = (_CELL["f"] % column[i]).encode()
-        cells[i] = 0
-        cells[i, : len(text)] = np.frombuffer(text, np.uint8)
+    head = np.take(_HEAD, 2 * (np.minimum(e, 0) - _E_LO) + (column[fixed] < 0), axis=0)
+    width = _HEAD.shape[1] + 18
+    cells = np.zeros((len(column), width), np.uint8)
+    cells[fixed] = np.concatenate([head, body], axis=1)
+    zero = np.flatnonzero(magnitude == 0)
+    cells[zero, 0] = np.where(np.signbit(column[zero]), ord("-"), 0)
+    cells[zero, 1] = ord("0")
+    # The rest go through one "%" and are NUL-padded to the row width by the
+    # "S" dtype; the longest, "-1.7976931348623157e+308", is 24 bytes of 25.
+    rest = np.ones(len(column), bool)
+    rest[laid] = rest[zero] = False
+    rest = np.flatnonzero(rest)
+    values = tuple(column[rest].tolist())
+    texts = ((_CELL["f"] + "\n") * len(values) % values).split()
+    cells[rest] = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width)
     return cells
 
 

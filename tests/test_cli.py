@@ -463,13 +463,13 @@ def test_float_table_matches_template(stride, columns):
 @given(values=st.lists(_FLOATS, min_size=1, max_size=20))
 @example(values=_FLOAT_EDGES)
 def test_float_kernel_leaves_only_exponent_cells_to_percent(values):
-    # The kernel renders every finite nonzero cell in fixed notation; the rest
-    # go through ``_CELL["f"]``, which here marks them.
+    # The kernel renders zeros and every cell in fixed notation; the rest go
+    # through ``_CELL["f"]``, which here marks them.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_CELL", {**cli._CELL, "f": "%.17g~"})
         got = "".join(_table("csv", ["x"], [np.array(values)]))
     texts = ["%.17g" % v for v in values]
-    marked = [t + "~" if "e" in t or "n" in t or float(t) == 0 else t for t in texts]
+    marked = [t + "~" if "e" in t or "n" in t else t for t in texts]
     assert got == "x\n" + "".join(t + "\n" for t in marked)
 
 
