@@ -9,7 +9,10 @@ blocks at site ``j`` is the walk's occupation time of ``j`` through step
 All randomness flows through :func:`stream`, a counter-based Philox
 generator keyed by ``(seed, replicate)``.  Replicates are therefore
 independent, reproducible, and order-insensitive: they can be generated in
-any order (or concurrently) and merged by replicate index.
+any order (or concurrently) and merged by replicate index.  The key reaches
+Philox through a fixed seed-sequence object, so building a stream reads no
+OS entropy, and ``bit_generator.seed_seq`` is that object, not ``None``.
+Seed, replicate and domain are taken mod 2**64.
 
 The step rule (stream format v6): step ``k`` of a stream goes up when bit
 ``k mod 64`` of raw Philox word ``k div 64`` is set, lowest bit first, so
@@ -23,6 +26,7 @@ wall fed chunk by chunk, match the one-shot versions exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,11 +42,47 @@ def stream(seed: int, replicate: int = 0, domain: int = 0) -> np.random.Generato
     ``domain`` selects one of 2**64 non-overlapping sub-streams within a
     replicate (walk steps vs. sign flips, etc.) by offsetting the most
     significant word of the 256-bit counter; each sub-stream still has
-    2**192 blocks of headroom before any overlap.
+    2**192 blocks of headroom before any overlap.  All three are taken
+    mod 2**64, so ``seed = -1`` and ``seed = 2**64 - 1`` give one stream.
+
+    The key reaches Philox as a fixed seed-sequence object, which is what
+    ``bit_generator.seed_seq`` returns.  numpy's ``Philox(key=...)`` gives
+    the same words but leaves ``seed_seq`` at ``None``, after building and
+    discarding a ``SeedSequence`` from OS entropy on every call.
     """
-    key = np.array([seed & _MASK64, replicate & _MASK64], dtype=np.uint64)
     counter = np.array([0, 0, 0, domain & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return np.random.Generator(np.random.Philox(_philox_key(seed, replicate), counter=counter))
+
+
+def _philox_key(seed: int, replicate: int) -> np.random.bit_generator.ISeedSequence:
+    """The seed sequence whose state is the Philox key ``(seed, replicate)``."""
+    return _philox_key_class()(seed & _MASK64, replicate & _MASK64)
+
+
+@functools.cache
+def _philox_key_class() -> type:
+    """The seed-sequence class behind :func:`_philox_key`.
+
+    It is made on first use because its base class lives in
+    ``numpy.random``, which ``import wallcurve`` does not load.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        """A fixed 128-bit Philox key, handed over as two uint64 words."""
+
+        def __init__(self, seed: int, replicate: int) -> None:
+            self.words = (seed, replicate)
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a Philox key is exactly two uint64 words")
+            return np.array(self.words, dtype=np.uint64)
+
+        def __reduce__(self):
+            return _philox_key, self.words
+
+    return PhiloxKey
 
 
 @dataclass(frozen=True)
@@ -105,8 +145,11 @@ def walk_sites(
     ``first // 256`` whole Philox counter blocks of 4 words with ``advance``,
     draws the words that hold the steps and slices their bits, lowest first.
     Reading ``[a, b)`` and then ``[b, c)`` from the last site gives the walk
-    that reading ``[a, c)`` gives.
+    that reading ``[a, c)`` gives.  A negative ``first`` or ``count`` raises
+    ``ValueError``.
     """
+    if first < 0 or count < 0:
+        raise ValueError(f"first and count must be >= 0, got first={first}, count={count}")
     word, skip = divmod(first, 64)
     bit_generator = stream(seed, replicate, domain).bit_generator
     bit_generator.advance(word // 4)

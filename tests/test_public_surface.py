@@ -3,7 +3,8 @@
 A name left in ``__all__`` after its definition is deleted breaks
 ``from wallcurve.<module> import *`` and nothing else, so this checks the
 package and each submodule that declares ``__all__``.  The runtime needs
-numpy only, so a CLI run must not import scipy.
+numpy only, so a CLI run must not import scipy, and importing the CLI
+must not load ``numpy.random``, which only drawing needs.
 """
 
 import importlib
@@ -33,6 +34,17 @@ def test_all_names_resolve(module):
     assert missing == []
 
 
+def _run_fresh(code):
+    """Standard output of ``code`` run in a fresh interpreter on this source tree."""
+    src = str(Path(wallcurve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def test_cli_runs_without_scipy(tmp_path):
     # scipy is a test dependency only.  A fresh interpreter catches lazy
     # imports too, which an import inside this test process would hide.
@@ -44,10 +56,9 @@ def test_cli_runs_without_scipy(tmp_path):
         "assert rc == 0, rc\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(wallcurve.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert _run_fresh(code) == "[]\n"
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    code = "import sys\nimport wallcurve.cli\nprint('numpy.random' in sys.modules)\n"
+    assert _run_fresh(code) == "False\n"

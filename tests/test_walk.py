@@ -1,7 +1,12 @@
 """Walk engine: trajectory, occupation counts, block trace."""
 
+import pickle
+import random
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wallcurve import (
     OccupationField,
@@ -52,6 +57,72 @@ def test_stream_domains_are_disjoint():
     a = stream(9, 0, domain=0).integers(0, 2, size=32)
     b = stream(9, 0, domain=1).integers(0, 2, size=32)
     assert not np.array_equal(a, b)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _keyword_stream(seed, replicate, domain):
+    """The stream built with numpy's own ``Philox(counter=..., key=...)``."""
+    counter = np.array([0, 0, 0, domain & _MASK64], dtype=np.uint64)
+    key = np.array([seed & _MASK64, replicate & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
+_WORD = st.integers(-(2**64), 2**65 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=_WORD,
+    replicate=_WORD,
+    domain=_WORD,
+    k=st.integers(0, 300),
+    jump=st.integers(0, 2**70),
+    bits=st.integers(0, 300),
+)
+@example(seed=-1, replicate=2**64, domain=2**65 - 1, k=1, jump=0, bits=1)
+def test_stream_matches_the_keyword_philox(seed, replicate, domain, k, jump, bits):
+    # If numpy ever changes how a seed sequence becomes a Philox key, the
+    # raw words, the advanced words, the bits and the pickle all diverge.
+    ours, theirs = stream(seed, replicate, domain), _keyword_stream(seed, replicate, domain)
+    assert np.array_equal(ours.bit_generator.random_raw(k), theirs.bit_generator.random_raw(k))
+    ours.bit_generator.advance(jump)
+    theirs.bit_generator.advance(jump)
+    assert np.array_equal(ours.bit_generator.random_raw(k), theirs.bit_generator.random_raw(k))
+    assert np.array_equal(ours.integers(0, 2, size=bits), theirs.integers(0, 2, size=bits))
+    copy = pickle.loads(pickle.dumps(ours))
+    assert np.array_equal(copy.integers(0, 2, size=bits), theirs.integers(0, 2, size=bits))
+    assert np.array_equal(copy.bit_generator.random_raw(k), theirs.bit_generator.random_raw(k))
+
+
+def test_seed_sequence_is_the_fixed_key():
+    seed_seq = stream(-1, 5, 0).bit_generator.seed_seq
+    assert seed_seq.generate_state(2, np.uint64).tolist() == [_MASK64, 5]
+    with pytest.raises(ValueError):
+        seed_seq.generate_state(4, np.uint32)
+
+
+def test_stream_reads_no_os_entropy(monkeypatch):
+    # numpy's ``SeedSequence()`` draws its entropy through ``secrets.randbits``,
+    # which reads ``random._urandom``.
+    stream(0)
+    reads = []
+
+    def urandom(size):
+        reads.append(size)
+        return bytes(size)
+
+    monkeypatch.setattr(random, "_urandom", urandom)
+    for replicate in range(10):
+        stream(3, replicate, 1)
+    assert reads == []
+
+
+@pytest.mark.parametrize("first, count", [(-5, 10), (0, -1)])
+def test_walk_sites_rejects_negative_addresses(first, count):
+    with pytest.raises(ValueError):
+        walk_sites(0, 0, 0, first, count)
 
 
 def test_occupation_field_hand_case():
