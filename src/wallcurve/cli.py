@@ -45,10 +45,10 @@ _JSON_CELL = {**_CELL, "f": "%r"}
 _BLOCK = 1 << 16  # table rows formatted per write
 
 
-def _dump_json(obj) -> Iterator[str]:
+def _dump_json(obj) -> Iterator[bytes]:
     # Encoded whole, so a non-finite value (no JSON token) raises before any
     # byte is written.
-    yield json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    yield (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
 def _int_cells(column: np.ndarray) -> np.ndarray:
@@ -181,8 +181,9 @@ def _rows(pieces: list[bytes], columns) -> bytes:
     return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
-def _table(fmt: str, header: list[str], columns, stride: int = 1) -> Iterator[str]:
-    """A table of numpy columns as text: one CSV row per index, or JSON records.
+def _table(fmt: str, header: list[str], columns, stride: int = 1) -> Iterator[bytes]:
+    """A table of numpy columns as ASCII bytes: one CSV row per index, or JSON
+    records.
 
     Rows are produced ``_BLOCK`` at a time, so memory stays flat.  Every CSV
     cell, and every cell of a JSON table of integer columns only, comes from
@@ -211,31 +212,32 @@ def _table(fmt: str, header: list[str], columns, stride: int = 1) -> Iterator[st
     # The kernel ends every row with ``sep``: a block cuts its last one, and
     # the next block starts with it.
     pieces = [p.encode() for p in (template + sep).split("%d")]
-    yield head
+    yield head.encode()
     for start in range(0, len(columns[0]), _BLOCK):
         block = [c[start : start + _BLOCK] for c in columns]
         if kernel:
-            text = _rows(pieces, block).decode().removesuffix(sep)
+            text = _rows(pieces, block).removesuffix(sep.encode())
         else:
-            text = sep.join([template % row for row in zip(*(c.tolist() for c in block))])
-        yield (sep if start else "") + text
-    yield tail
+            text = sep.join([template % row for row in zip(*(c.tolist() for c in block))]).encode()
+        yield (sep if start else "").encode() + text
+    yield tail.encode()
 
 
-def _write(path: str | None, chunks: Iterable[str]) -> None:
-    """Write text chunks to ``path``, or to stdout when it is None or "-".
+def _write(path: str | None, chunks: Iterable[bytes]) -> None:
+    """Write byte chunks to ``path``, or to stdout when it is None or "-".
 
     The first chunk is taken before the file is opened, so an error raised
     while a table is set up leaves an existing file as it was.
     """
     chunks = iter(chunks)
-    first = next(chunks, "")
+    first = next(chunks, b"")
     if path is None or path == "-":
-        sys.stdout.write(first)
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()  # a closed pipe raises here, inside ``main``
+        sys.stdout.flush()  # text written before stays ahead of these bytes
+        sys.stdout.buffer.write(first)
+        sys.stdout.buffer.writelines(chunks)
+        sys.stdout.buffer.flush()  # a closed pipe raises here, inside ``main``
         return
-    with open(path, "w", newline="\n") as out:
+    with open(path, "wb") as out:
         out.write(first)
         out.writelines(chunks)
 

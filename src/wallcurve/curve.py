@@ -87,9 +87,12 @@ def build_trace(
     The occupation estimator emits one point per step (the height is the
     running visit count at the current site, rescaled); the band estimator
     is evaluated at ``_BAND_TRACE_POINTS`` evenly strided steps (every step
-    of a shorter walk) for cross-validation, each point a binary search per
-    site in range of the path's edge index, which the first point builds.
+    of a shorter walk) for cross-validation.  The points go in time order,
+    so the path's running edge tally reads each segment once.  A given
+    ``eps`` is checked whatever the estimator.
     """
+    if eps is not None:
+        _check_positive("eps", eps)
     n, positions = path.n, path.positions
     root_n = np.sqrt(float(n))
     if estimator == "occupation":

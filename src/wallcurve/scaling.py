@@ -23,8 +23,7 @@ statistical suite runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,13 +55,14 @@ class ScaledPath:
     ``positions`` are the walk's lattice sites, a signed-integer array in
     which every step is +1 or -1; both local-time estimators read them.  A
     walk of zero steps is its one starting site, a path that exists only at
-    ``t = 0``.  The band estimator's edge index (:class:`_EdgeIndex`) is
-    built from ``positions`` on first use and kept, so they must not change
-    after that.
+    ``t = 0``.  The band estimator keeps a running tally of the walk's edge
+    crossings on the path (:func:`_edge_counts`), so ``positions`` must not
+    change after its first band evaluation.
     """
 
     n: int
     positions: np.ndarray
+    _tally: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (
@@ -74,7 +74,11 @@ class ScaledPath:
             raise ValueError(f"scale parameter n must be >= 1, got {self.n}")
         if len(self.positions) < 1:
             raise ValueError("path must hold at least one site")
-        if not np.all(np.abs(np.diff(self.positions)) == 1):
+        pos = self.positions
+        up = (pos[1:] > pos[:-1]).view(np.int8)
+        # ``diff`` wraps in the positions' dtype (127 to -128 reads +1 in
+        # int8), so each step must also agree with the order of its sites.
+        if not np.array_equal(np.diff(pos), 2 * up - 1):
             raise ValueError("path steps must be +1 or -1")
 
     @property
@@ -84,47 +88,6 @@ class ScaledPath:
     @property
     def horizon(self) -> float:
         return self.n_segments / self.n
-
-    @cached_property
-    def _edge_index(self) -> _EdgeIndex:
-        return _EdgeIndex.build(self.positions)
-
-
-@dataclass(frozen=True)
-class _EdgeIndex:
-    """The segments of a walk grouped by the lattice edge they cross.
-
-    Segment ``i`` crosses edge ``e = min(positions[i], positions[i + 1])``,
-    the edge between sites ``e`` and ``e + 1``.  Edges are counted from
-    ``base``, the lowest site.  ``keys`` holds ``(e - base) * stride + i``
-    for every segment, ascending, so each edge's crossings are one run of
-    it in time order, beginning at ``starts[e - base]``.  A walk reaches
-    new sites one edge at a time, so the first crossings of the edges
-    below its start, ``below`` (nearest edge first), and of those from it
-    up, ``above``, ascend.
-    """
-
-    base: int
-    stride: int
-    keys: np.ndarray
-    starts: np.ndarray
-    below: np.ndarray
-    above: np.ndarray
-
-    @classmethod
-    def build(cls, positions: np.ndarray) -> _EdgeIndex:
-        base = int(positions.min())
-        stride = max(len(positions) - 1, 1)
-        edges = np.minimum(positions[:-1], positions[1:]) - base
-        # numpy sorts integers of up to 16 bits stably by radix sort.
-        edges = edges.astype(np.min_scalar_type(edges.max(initial=0)))
-        order = np.argsort(edges, kind="stable")
-        sizes = np.bincount(edges, minlength=int(positions.max()) - base)
-        starts = np.concatenate([[0], np.cumsum(sizes)])
-        keys = np.repeat(np.arange(len(sizes), dtype=np.int64) * stride, sizes) + order
-        first = order[starts[:-1]]
-        origin = int(positions[0]) - base
-        return cls(base, stride, keys, starts, first[:origin][::-1].copy(), first[origin:])
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -179,15 +142,29 @@ def _edge_counts(path: ScaledPath, full: int) -> tuple[int, np.ndarray]:
     """The lowest site ``lo`` of the walk's first ``full`` segments, and how
     often those segments cross each edge from ``lo`` to their highest site.
 
-    Each count is one binary search in the path's edge index, so a query
-    costs O(R log k) for R sites in range and k segments.
+    Segment ``i`` crosses edge ``min(positions[i], positions[i + 1])``, the
+    edge between that site and the next.  The path keeps a running tally:
+    the crossings of its first ``done`` segments on every edge of the whole
+    walk, counted from its lowest site ``base``, and the lowest and highest
+    sites of those segments.  A query at ``full >= done`` adds one
+    ``bincount`` of the segments not yet counted; an earlier ``full`` counts
+    again from zero.  An advance builds a new tally and never writes into
+    one already handed out, so threads sharing a path need no lock.
     """
-    index = path._edge_index
-    origin = int(path.positions[0])
-    lo = origin - int(np.searchsorted(index.below, full))
-    hi = origin + int(np.searchsorted(index.above, full))
-    edges = np.arange(lo - index.base, hi - index.base)
-    return lo, np.searchsorted(index.keys, edges * index.stride + full) - index.starts[edges]
+    pos = path.positions
+    tally = path._tally
+    if tally is None or full < tally[1]:
+        base, start = int(pos.min()), int(pos[0])
+        tally = (base, 0, start, start, np.zeros(int(pos.max()) - base, np.int64))
+    base, done, lo, hi, counts = tally
+    if full > done:
+        sites = pos[done : full + 1].astype(np.int64, copy=False)
+        edges = np.minimum(sites[:-1], sites[1:]) - base
+        counts = counts + np.bincount(edges, minlength=len(counts))
+        lo, hi = min(lo, int(sites.min())), max(hi, int(sites.max()))
+        tally = (base, full, lo, hi, counts)
+    object.__setattr__(path, "_tally", tally)
+    return lo, counts[lo - base : hi - base]
 
 
 def _band_profile(
@@ -202,9 +179,9 @@ def _band_profile(
     band.  A partial last segment is clipped on its own; it exists only when
     :func:`_active_segments` counts one more segment than ``floor(t*n)``, so
     a sliver within the round-off of ``t = k/n`` is dropped.  The crossing
-    counts come from the path's edge index (:func:`_edge_counts`), built
-    once by a stable sort of its k segments; a query then costs
-    O(R log k + m) for R sites in range and m levels.
+    counts come from the path's running tally (:func:`_edge_counts`), so
+    queries in time order read each segment once, and a lone query is one
+    ``bincount`` of its prefix.
     """
     pos = path.positions
     k = _active_segments(t, path.n, path.n_segments)
@@ -252,9 +229,10 @@ def local_time_profile(
     if levels.size > 1 and not np.all(np.diff(levels) > 0):
         raise ValueError("level grid must be strictly increasing")
     _check_time(t, path.horizon)
+    if eps is not None:
+        _check_positive("eps", eps)
     if estimator == "band":
         eps = default_band_width(path.n) if eps is None else eps
-        _check_positive("eps", eps)
         return _band_profile(path, t, levels, eps)
     if estimator == "occupation":
         return _occupation_profile(path, t, levels)

@@ -314,6 +314,9 @@ def test_verify_config_out_of_range_exits_two(capsys, option, value, message):
             ("verify", "coverage", "--delta", "1e-8"),
             "200000000 x 50000000 = 10000000000000000 cells of size 1e-08 exceed the limit",
         ),
+        # A given eps is checked whatever the estimator reads.
+        (("profile", "--estimator", "occupation", "--eps", "-5"), "eps must be > 0, got -5.0"),
+        (("curve", "--estimator", "occupation", "--eps", "nan"), "eps must be finite, got nan"),
     ],
 )
 def test_non_finite_options_exit_two(capsys, argv, message):
@@ -321,6 +324,14 @@ def test_non_finite_options_exit_two(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize("command", ["profile", "curve"])
+def test_valid_eps_leaves_the_occupation_estimate_alone(capsys, command):
+    args = (command, "--n", "100", "--estimator", "occupation")
+    code, out, _ = run_cli(capsys, *args, "--eps", "0.3")
+    assert (code, out) == run_cli(capsys, *args)[:2]
+    assert code == 0
 
 
 def test_verify_defaults_are_the_library_defaults():
@@ -358,7 +369,7 @@ def test_json_table_matches_json_module(monkeypatch):
                 dict(zip(header, row)) for row in zip(*(c[::stride].tolist() for c in columns))
             ]
             expected = json.dumps(records, indent=2, sort_keys=True) + "\n"
-            assert "".join(_table("json", header, columns, stride)) == expected
+            assert b"".join(_table("json", header, columns, stride)).decode() == expected
 
 
 def _template_table(fmt, header, columns, stride):
@@ -407,7 +418,7 @@ def test_integer_table_matches_template(fmt, stride, columns):
     expected = _template_table(fmt, header, columns, stride)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_BLOCK", 3)  # rows cross block boundaries
-        assert "".join(_table(fmt, header, columns, stride)) == expected
+        assert b"".join(_table(fmt, header, columns, stride)).decode() == expected
 
 
 # Where '%.17g' rounds half to even (12345.000122070312|5), rounds past
@@ -456,7 +467,7 @@ def test_float_table_matches_template(stride, columns):
     expected = _template_table("csv", header, columns, stride)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_BLOCK", 3)  # rows cross block boundaries
-        assert "".join(_table("csv", header, columns, stride)) == expected
+        assert b"".join(_table("csv", header, columns, stride)).decode() == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -467,7 +478,7 @@ def test_float_kernel_leaves_only_exponent_cells_to_percent(values):
     # through ``_CELL["f"]``, which here marks them.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_CELL", {**cli._CELL, "f": "%.17g~"})
-        got = "".join(_table("csv", ["x"], [np.array(values)]))
+        got = b"".join(_table("csv", ["x"], [np.array(values)])).decode()
     texts = ["%.17g" % v for v in values]
     marked = [t + "~" if "e" in t or "n" in t else t for t in texts]
     assert got == "x\n" + "".join(t + "\n" for t in marked)
@@ -505,4 +516,4 @@ def test_failed_table_leaves_existing_output_file(tmp_path):
 def test_json_table_rejects_non_finite_values(bad):
     columns = (np.arange(3), np.array([0.0, bad, 1.0]))
     with pytest.raises(ValueError, match="non-finite values in column 'h'"):
-        "".join(_table("json", ["k", "h"], columns))
+        b"".join(_table("json", ["k", "h"], columns))

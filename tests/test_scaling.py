@@ -11,6 +11,7 @@ from wallcurve import (
     OccupationField,
     ScaledPath,
     band_local_time,
+    build_trace,
     default_band_width,
     ks_two_sample,
     local_time_profile,
@@ -73,6 +74,30 @@ def test_band_local_time_flat_path():
     assert band_local_time(point, 0.0, 0.0, 0.5) == 0.0
     assert occupation_local_time(point, 0.0, 0.0) == 1.0
     assert wall_area(point, 0.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [np.array([127, -128], dtype=np.int8), np.array([2**63 - 1, -(2**63)], dtype=np.int64)],
+)
+def test_scaled_path_rejects_a_step_that_wraps(positions):
+    # ``np.diff`` wraps in the positions' dtype, where each of these steps
+    # reads +1.
+    with pytest.raises(ValueError, match="steps must be"):
+        ScaledPath(n=1, positions=positions)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16])
+def test_narrow_dtype_walk_gives_the_int64_band_estimates(dtype):
+    # Its 200 edges, counted from the lowest site, overflow int8.
+    wide = ScaledPath(n=4, positions=np.arange(-100, 101))
+    narrow = ScaledPath(n=4, positions=wide.positions.astype(dtype))
+    levels = np.linspace(-60.0, 60.0, 241)
+    for t in (0.0, 10.0, 20.3, wide.horizon):
+        assert np.array_equal(
+            local_time_profile(narrow, t, levels), local_time_profile(wide, t, levels)
+        )
+    assert np.array_equal(build_trace(narrow, "band").heights, build_trace(wide, "band").heights)
 
 
 @pytest.mark.parametrize("positions", [np.array([0.5, 1.5, 0.5]), [0, 1]])
@@ -437,9 +462,18 @@ _ROUNDING_WALK_139 = ScaledPath(
         [(t, np.array([20.845398302197573]), 10.848721470922609) for t in (139.0, 138.5)],
     )
 )
+@example(
+    # Forward, back to an earlier time, to t = 0, then a time repeated: the
+    # tally advances, restarts from zero twice, and is read as kept.
+    case=(
+        ScaledPath(n=3, positions=simulate_walk(40, seed=7)),
+        [(t, np.linspace(-3.0, 3.0, 13), 0.5) for t in (2.0, 12.5, 4.5, 0.0, 4.5, 4.5, 13.0)],
+    )
+)
 def test_band_profile_equals_the_per_call_bincount(case):
-    # The path's edge index is built by the first query and reused, in any
-    # order, by the rest; each result is the per-call count's, bit for bit.
+    # The path's running edge tally counts on from its last query when a
+    # query comes later in time and again from zero when one comes earlier;
+    # each result is the per-call count's, bit for bit.
     spath, queries = case
     for t, levels, eps in queries:
         got = local_time_profile(spath, t, levels, eps, "band")
