@@ -276,6 +276,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     _check_positive("t", args.t)
     _check_finite("ymin", args.ymin)
     _check_finite("ymax", args.ymax)
+    if args.levels < 1:
+        raise ValueError(f"levels must be >= 1, got {args.levels}")
     sites = simulate_walk(_walk_steps(args.t, args.n), args.seed)
     path = ScaledPath(n=args.n, positions=sites)
     levels = np.linspace(args.ymin, args.ymax, args.levels)

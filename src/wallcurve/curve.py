@@ -27,7 +27,7 @@ from .scaling import (
 )
 # ``stream`` is only called through ``walk_sites``; the benchmark's tracer
 # still looks the name up in this module.
-from .walk import OccupationField, stream, walk_sites  # noqa: F401
+from .walk import OccupationField, discrete_brick_trace, stream, walk_sites  # noqa: F401
 
 __all__ = [
     "CurveTrace",
@@ -88,8 +88,8 @@ def build_trace(
     running visit count at the current site, rescaled); the band estimator
     is evaluated at ``_BAND_TRACE_POINTS`` evenly strided steps (every step
     of a shorter walk) for cross-validation.  The points go in time order,
-    so the path's running edge tally reads each segment once.  A given
-    ``eps`` is checked whatever the estimator.
+    so the path's running wall drops each site once.  A given ``eps`` is
+    checked whatever the estimator.
     """
     if eps is not None:
         _check_positive("eps", eps)
@@ -98,7 +98,7 @@ def build_trace(
     if estimator == "occupation":
         times = np.arange(path.n_segments + 1) / n
         levels = positions / root_n
-        heights = OccupationField().drop(positions)[1] / root_n
+        heights = discrete_brick_trace(positions) / root_n
         return CurveTrace(times, levels, heights)
     if estimator == "band":
         count = min(path.n_segments + 1, _BAND_TRACE_POINTS)

@@ -55,14 +55,14 @@ class ScaledPath:
     ``positions`` are the walk's lattice sites, a signed-integer array in
     which every step is +1 or -1; both local-time estimators read them.  A
     walk of zero steps is its one starting site, a path that exists only at
-    ``t = 0``.  The band estimator keeps a running tally of the walk's edge
-    crossings on the path (:func:`_edge_counts`), so ``positions`` must not
-    change after its first band evaluation.
+    ``t = 0``.  Both estimators read one running wall of the walk's prefix
+    kept on the path (:func:`_wall_at`), so ``positions`` must not change
+    after the first estimate.
     """
 
     n: int
     positions: np.ndarray
-    _tally: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _wall: tuple = field(default=(-1, OccupationField()), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (
@@ -134,37 +134,22 @@ def band_local_time(path: ScaledPath, y: float, t: float, eps: float | None = No
 
 def snap_level(y, n: int):
     """Lattice site nearest to ``y * sqrt(n)``, ties toward zero (elementwise)."""
-    z = np.asarray(y, dtype=float) * np.sqrt(float(n))
+    # No walk reaches 2**62; the clip keeps the int64 cast defined.
+    z = np.clip(np.asarray(y, dtype=float) * np.sqrt(float(n)), -(2.0**62), 2.0**62)
     return (np.sign(z) * np.ceil(np.abs(z) - 0.5)).astype(np.int64)
 
 
-def _edge_counts(path: ScaledPath, full: int) -> tuple[int, np.ndarray]:
-    """The lowest site ``lo`` of the walk's first ``full`` segments, and how
-    often those segments cross each edge from ``lo`` to their highest site.
-
-    Segment ``i`` crosses edge ``min(positions[i], positions[i + 1])``, the
-    edge between that site and the next.  The path keeps a running tally:
-    the crossings of its first ``done`` segments on every edge of the whole
-    walk, counted from its lowest site ``base``, and the lowest and highest
-    sites of those segments.  A query at ``full >= done`` adds one
-    ``bincount`` of the segments not yet counted; an earlier ``full`` counts
-    again from zero.  An advance builds a new tally and never writes into
-    one already handed out, so threads sharing a path need no lock.
-    """
-    pos = path.positions
-    tally = path._tally
-    if tally is None or full < tally[1]:
-        base, start = int(pos.min()), int(pos[0])
-        tally = (base, 0, start, start, np.zeros(int(pos.max()) - base, np.int64))
-    base, done, lo, hi, counts = tally
-    if full > done:
-        sites = pos[done : full + 1].astype(np.int64, copy=False)
-        edges = np.minimum(sites[:-1], sites[1:]) - base
-        counts = counts + np.bincount(edges, minlength=len(counts))
-        lo, hi = min(lo, int(sites.min())), max(hi, int(sites.max()))
-        tally = (base, full, lo, hi, counts)
-    object.__setattr__(path, "_tally", tally)
-    return lo, counts[lo - base : hi - base]
+def _wall_at(path: ScaledPath, m: int) -> OccupationField:
+    """The wall of the walk's first ``m + 1`` sites.  The path keeps its last
+    one: a later ``m`` grows it, an earlier one starts again from empty.
+    ``_grow`` builds new arrays, so a wall handed out never changes and
+    threads sharing a path need no lock."""
+    done, wall = path._wall
+    if m < done:
+        done, wall = -1, OccupationField()
+    wall = wall._grow(path.positions[done + 1 : m + 1])[0]
+    object.__setattr__(path, "_wall", (m, wall))
+    return wall
 
 
 def _band_profile(
@@ -178,18 +163,31 @@ def _band_profile(
     count as its slope, and the band measure is its difference across the
     band.  A partial last segment is clipped on its own; it exists only when
     :func:`_active_segments` counts one more segment than ``floor(t*n)``, so
-    a sliver within the round-off of ``t = k/n`` is dropped.  The crossing
-    counts come from the path's running tally (:func:`_edge_counts`), so
-    queries in time order read each segment once, and a lone query is one
-    ``bincount`` of its prefix.
+    a sliver within the round-off of ``t = k/n`` is dropped.
+
+    The crossings ``c(j)`` of edge ``(j, j+1)`` come from the blocks ``L``
+    of the path's running wall (:func:`_wall_at`) by the visit identity
+    ``c(j-1) + c(j) = 2*L(j) - [j = S_0] - [j = S_full]``, solved upward
+    from the lowest site as one alternating-sign sum.  A band with
+    ``eps*sqrt(n) < 2**-30 * max(full, 1)`` would cancel in the difference
+    of cumulative counts, so it raises ``ValueError``.
     """
     pos = path.positions
     k = _active_segments(t, path.n, path.n_segments)
     full = min(k, math.floor(t * path.n))
-    lo, counts = _edge_counts(path, full)
-    below = np.concatenate([[0.0], np.cumsum(counts)])
-    sites = np.arange(lo, lo + len(below))
     root_n = np.sqrt(float(path.n))
+    least = 2.0**-30 * max(full, 1) / root_n
+    if eps < least:
+        raise ValueError(f"eps must be >= {least:.3g} for {full} steps at n = {path.n}, got {eps}")
+    wall = _wall_at(path, full)
+    twice = 2 * wall.counts
+    # One at a time: the walk may end where it started.
+    twice[int(pos[0]) - wall.min_site] -= 1
+    twice[int(pos[full]) - wall.min_site] -= 1
+    sign = 1 - 2 * (np.arange(len(twice)) & 1)
+    crossings = sign * np.cumsum(sign * twice)
+    below = np.concatenate([[0.0], np.cumsum(crossings[:-1])])
+    sites = np.arange(wall.min_site, wall.min_site + len(below))
     a = (levels - eps) * root_n
     b = (levels + eps) * root_n
     measure = np.interp(b, sites, below) - np.interp(a, sites, below)
@@ -202,8 +200,7 @@ def _band_profile(
 
 
 def _occupation_profile(path: ScaledPath, t: float, levels: np.ndarray) -> np.ndarray:
-    m = _active_segments(t, path.n, path.n_segments)
-    wall = OccupationField()._grow(path.positions[: m + 1])[0]
+    wall = _wall_at(path, _active_segments(t, path.n, path.n_segments))
     idx = snap_level(levels, path.n) - wall.min_site
     valid = (idx >= 0) & (idx < len(wall.counts))
     values = np.zeros(len(levels))

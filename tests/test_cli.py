@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +318,17 @@ def test_verify_config_out_of_range_exits_two(capsys, option, value, message):
         # A given eps is checked whatever the estimator reads.
         (("profile", "--estimator", "occupation", "--eps", "-5"), "eps must be > 0, got -5.0"),
         (("curve", "--estimator", "occupation", "--eps", "nan"), "eps must be finite, got nan"),
+        (("profile", "--levels", "-3"), "levels must be >= 1, got -3"),
+        (("profile", "--levels", "0"), "levels must be >= 1, got 0"),
+        # A band too narrow for float64 cancels to 0 or garbage; it is refused.
+        (
+            ("curve", "--steps", "4", "--n", "1", "--estimator", "band", "--eps", "1e-17"),
+            "eps must be >= 9.31e-10 for 0 steps at n = 1, got 1e-17",
+        ),
+        (
+            ("profile", "--n", "100", "--eps", "1e-17", "--seed", "3"),
+            "eps must be >= 9.31e-09 for 100 steps at n = 100, got 1e-17",
+        ),
     ],
 )
 def test_non_finite_options_exit_two(capsys, argv, message):
@@ -324,6 +336,17 @@ def test_non_finite_options_exit_two(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert f"error: {message}" in err
+
+
+def test_huge_levels_snap_to_no_site_without_an_invalid_cast(capsys):
+    args = ("profile", "--n", "100", "--estimator", "occupation", "--levels", "3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, *args, "--ymin", "-1e300", "--ymax", "1e300")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[1] for row in rows] == ["0", rows[1][1], "0"]
+    assert float(rows[1][1]) > 0
 
 
 @pytest.mark.parametrize("command", ["profile", "curve"])

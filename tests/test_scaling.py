@@ -89,7 +89,7 @@ def test_scaled_path_rejects_a_step_that_wraps(positions):
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16])
 def test_narrow_dtype_walk_gives_the_int64_band_estimates(dtype):
-    # Its 200 edges, counted from the lowest site, overflow int8.
+    # Its sites, counted from the lowest, run to 200 and overflow int8.
     wide = ScaledPath(n=4, positions=np.arange(-100, 101))
     narrow = ScaledPath(n=4, positions=wide.positions.astype(dtype))
     levels = np.linspace(-60.0, 60.0, 241)
@@ -98,6 +98,16 @@ def test_narrow_dtype_walk_gives_the_int64_band_estimates(dtype):
             local_time_profile(narrow, t, levels), local_time_profile(wide, t, levels)
         )
     assert np.array_equal(build_trace(narrow, "band").heights, build_trace(wide, "band").heights)
+
+
+def test_band_too_narrow_for_float64_is_refused():
+    # The band measure is a difference of cumulative crossing counts, which
+    # cancels below about 2**-30 of the count: eps = 1e-15 read 1.776 here,
+    # where the exact value is 1.5.
+    spath = ScaledPath(n=1, positions=np.array([0, 1, 2, 1, 2]))
+    with pytest.raises(ValueError, match=r"eps must be >= 3.73e-09 for 4 steps"):
+        band_local_time(spath, 2.0, 4.0, 1e-15)
+    assert band_local_time(spath, 2.0, 4.0, 1e-6) == 1.4999999997655777
 
 
 @pytest.mark.parametrize("positions", [np.array([0.5, 1.5, 0.5]), [0, 1]])
@@ -408,8 +418,9 @@ def _band_profile_by_bincount(path, t, levels, eps):
 
 @st.composite
 def band_queries(draw):
-    """One rescaled walk, zero steps included, and band queries on it in the
-    order drawn: each a time, a strictly increasing level grid and ``eps``.
+    """One rescaled walk, zero steps included, and queries on it in the order
+    drawn: each a time, a strictly increasing level grid, ``eps`` and an
+    estimator.
 
     A time is 0, a knot time, a time between two knots, or within 1e-9 of a
     step either side of a knot (the sliver the kernel drops); levels reach a
@@ -429,7 +440,8 @@ def band_queries(draw):
         eps = step * 2.0 ** draw(st.floats(-3.0, np.log2(width / step) + 1.0))
         lo, hi = float(values.min()) - width, float(values.max()) + width
         grid = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=12))
-        queries.append((t, np.unique(grid), eps))
+        estimator = draw(st.sampled_from(["band", "occupation"]))
+        queries.append((t, np.unique(grid), eps, estimator))
     return spath, queries
 
 
@@ -453,31 +465,58 @@ _ROUNDING_WALK_139 = ScaledPath(
 @example(
     case=(
         _ROUNDING_WALK_12,
-        [(t, np.array([2.414213562373095]), 1.4142135623730951) for t in (12.0, 11.5)],
+        [(t, np.array([2.414213562373095]), 1.4142135623730951, "band") for t in (12.0, 11.5)],
     )
 )
 @example(
     case=(
         _ROUNDING_WALK_139,
-        [(t, np.array([20.845398302197573]), 10.848721470922609) for t in (139.0, 138.5)],
+        [
+            (t, np.array([20.845398302197573]), 10.848721470922609, "band")
+            for t in (139.0, 138.5)
+        ],
     )
 )
 @example(
     # Forward, back to an earlier time, to t = 0, then a time repeated: the
-    # tally advances, restarts from zero twice, and is read as kept.
+    # wall grows, restarts from empty twice, and is read as kept.
     case=(
         ScaledPath(n=3, positions=simulate_walk(40, seed=7)),
-        [(t, np.linspace(-3.0, 3.0, 13), 0.5) for t in (2.0, 12.5, 4.5, 0.0, 4.5, 4.5, 13.0)],
+        [
+            (t, np.linspace(-3.0, 3.0, 13), 0.5, "band")
+            for t in (2.0, 12.5, 4.5, 0.0, 4.5, 4.5, 13.0)
+        ],
+    )
+)
+@example(
+    # The estimators in turn, forward, back and between two knots, where
+    # the band reads the wall one step before the occupation estimator.
+    case=(
+        ScaledPath(n=3, positions=simulate_walk(40, seed=7)),
+        [
+            (t, np.linspace(-3.0, 3.0, 13), 0.5, estimator)
+            for t in (2.0, 12.5, 4.5, 0.0, 13.0)
+            for estimator in ("occupation", "band", "occupation")
+        ],
     )
 )
 def test_band_profile_equals_the_per_call_bincount(case):
-    # The path's running edge tally counts on from its last query when a
-    # query comes later in time and again from zero when one comes earlier;
-    # each result is the per-call count's, bit for bit.
+    # Both estimators read the path's one running wall, which grows from its
+    # last query when a query comes later in time and starts again from empty
+    # when one comes earlier.  Each band result is the per-call edge
+    # bincount's, bit for bit, and each occupation result the per-call wall's.
     spath, queries = case
-    for t, levels, eps in queries:
-        got = local_time_profile(spath, t, levels, eps, "band")
-        assert np.array_equal(got, _band_profile_by_bincount(spath, t, levels, eps))
+    root_n = np.sqrt(float(spath.n))
+    for t, levels, eps, estimator in queries:
+        got = local_time_profile(spath, t, levels, eps, estimator)
+        if estimator == "band":
+            assert np.array_equal(got, _band_profile_by_bincount(spath, t, levels, eps))
+            continue
+        m = _active_segments(t, spath.n, spath.n_segments)
+        wall = OccupationField().drop(spath.positions[: m + 1])[0]
+        blocks = dict(enumerate(wall.counts.tolist(), wall.min_site))
+        counts = [blocks.get(site, 0) for site in snap_level(levels, spath.n).tolist()]
+        assert np.array_equal(got, np.array(counts) / root_n)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
