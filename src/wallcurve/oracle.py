@@ -164,7 +164,10 @@ def sample_identity_pair(
     in the lowest bit.  Replicates are drawn in blocks of about
     ``_BLOCK_BYTES`` bytes of words (one row per replicate, so memory stays
     O(m) at any ``replicates``), and each statistic is reduced from
-    :func:`_byte_tables` lookups plus one running sum per byte.  A
+    :func:`_byte_tables` lookups plus one running sum per byte.  The table
+    row of each byte is held in int16, and the running sums in the
+    narrowest signed type that holds ``m``; visit counts gather only the
+    bytes that start near the target site (:func:`_hits_at`).  A
     replicate's sign is step 0 of its own sign stream.
     """
     _check_positive("t", t)
@@ -180,8 +183,14 @@ def sample_identity_pair(
     raw = np.empty((rows, words), dtype="<u8")
     n_bytes = -(-m // 8)
     # Table row of each byte: 256 * (steps in the byte), the last one partial.
-    base = np.full(n_bytes, 256 * 8)
+    # Rows reach 256 * 8 + 255, so int16 holds them.
+    base = np.full(n_bytes, 256 * 8, dtype=np.int16)
     base[-1] = 256 * (m - 8 * (n_bytes - 1))
+    # Every running sum, byte start, offset and running maximum below is one
+    # site of the walk's first m steps less another (or the origin), so it
+    # lies in [-m, m].  A signed type whose maximum is at least m holds all
+    # of them and never meets its own minimum, where np.abs would wrap.
+    sums = next(d for d in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(d).max >= m)
     net, peak, hits = _byte_tables()
     domain = _WALK_DOMAIN[side]
     out = np.empty((replicates, 2))
@@ -190,8 +199,8 @@ def sample_identity_pair(
         for i in range(len(block)):
             block[i] = stream(seed, lo + i, domain=domain).bit_generator.random_raw(words)
         code = base + block.view(np.uint8)[:, :n_bytes]
-        step = net[code]
-        start = np.cumsum(step, axis=1)
+        step = net.take(code)
+        start = np.cumsum(step, axis=1, dtype=sums)
         end = start[:, -1].copy()
         start -= step  # each byte's first site
         pairs = out[lo : lo + len(block)]
@@ -202,7 +211,7 @@ def sample_identity_pair(
             pairs[:, 0] = end
             pairs[:, 1] = 1 + _hits_at(hits, code, -start)  # 1: the visit at time 0
         else:
-            run_max = np.maximum((start + peak[code]).max(axis=1), 0)
+            run_max = np.maximum((start + peak.take(code)).max(axis=1), 0)
             pairs[:, 0] = run_max - end
             pairs[:, 1] = run_max
     out /= np.sqrt(float(n))
@@ -220,11 +229,14 @@ def sample_identity_pair(
 def _hits_at(hits: np.ndarray, code: np.ndarray, offset: np.ndarray) -> np.ndarray:
     """Per row, the steps that land ``offset`` sites from their byte's first site.
 
-    ``offset`` is overwritten: it is turned into the flat table index in place.
+    A byte's steps land within 8 sites of its first site, so only the bytes
+    with ``|offset| <= 8`` are gathered, and one ``np.bincount`` adds up
+    their visits per row.  The sums are float64 counts far below 2**53,
+    hence exact.
     """
-    np.clip(offset, -9, 9, out=offset)
-    offset += 19 * code + 9
-    return hits[offset].sum(axis=1)
+    near = np.flatnonzero(np.abs(offset) <= 8)
+    visits = hits[code.ravel()[near], offset.ravel()[near] + 8]
+    return np.bincount(near // offset.shape[1], weights=visits, minlength=len(offset))
 
 
 @functools.cache
@@ -234,21 +246,20 @@ def _byte_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     A byte holds ``L`` in 1..8 steps, the first in its lowest bit; the bits
     above the ``L``-th are not read.  Relative to the byte's first site the
     tables give the net displacement, the highest site reached, and the
-    visits to each offset -9..9 (19 entries per byte, flat; the ones at +-9
-    stay zero, so a clipped offset counts nothing).  The tables are
-    read-only, since every call shares them.
+    visits to each offset -8..8 (a row of 17 columns per byte).  The tables
+    are read-only, since every call shares them.
     """
     byte = np.arange(256)
     sites = np.cumsum(2 * ((byte[:, None] >> np.arange(8)) & 1) - 1, axis=1)
     net = np.zeros((9, 256), dtype=np.int8)
     peak = np.zeros((9, 256), dtype=np.int8)
-    hits = np.zeros((9, 256, 19), dtype=np.int8)
+    hits = np.zeros((9, 256, 17), dtype=np.int8)
     for steps in range(1, 9):
         prefix = sites[:, :steps]
         net[steps] = prefix[:, -1]
         peak[steps] = prefix.max(axis=1)
-        hits[steps] = (prefix[:, :, None] == np.arange(-9, 10)).sum(axis=1)
-    tables = net.ravel(), peak.ravel(), hits.ravel()
+        hits[steps] = (prefix[:, :, None] == np.arange(-8, 9)).sum(axis=1)
+    tables = net.ravel(), peak.ravel(), hits.reshape(9 * 256, 17)
     for table in tables:
         table.setflags(write=False)
     return tables

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .walk import OccupationField
+from .walk import OccupationField, _check_steps
 
 __all__ = [
     "ScaledPath",
@@ -114,8 +114,11 @@ def _steps_for(t: float, n: int) -> int:
 
 
 def _walk_steps(t: float, n: int) -> int:
-    """Steps of a walk simulated to time ``t`` at scale ``n``: at least one."""
-    return max(_steps_for(t, n), 1)
+    """Steps of a walk simulated to time ``t`` at scale ``n``: at least one,
+    and at most 2**62 (``ValueError`` beyond)."""
+    steps = max(_steps_for(t, n), 1)
+    _check_steps(steps)
+    return steps
 
 
 def _active_segments(t: float, n: int, n_segments: int) -> int:

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+#: The longest walk read: int64 sites hold it, and no array holds a longer one.
+_MAX_STEPS = 1 << 62
 
 
 def stream(seed: int, replicate: int = 0, domain: int = 0) -> np.random.Generator:
@@ -145,11 +147,12 @@ def walk_sites(
     ``first // 256`` whole Philox counter blocks of 4 words with ``advance``,
     draws the words that hold the steps and slices their bits, lowest first.
     Reading ``[a, b)`` and then ``[b, c)`` from the last site gives the walk
-    that reading ``[a, c)`` gives.  A negative ``first`` or ``count`` raises
-    ``ValueError``.
+    that reading ``[a, c)`` gives.  A negative ``first`` or ``count``, or a
+    ``count`` above 2**62, raises ``ValueError``.
     """
     if first < 0 or count < 0:
         raise ValueError(f"first and count must be >= 0, got first={first}, count={count}")
+    _check_steps(count)
     word, skip = divmod(first, 64)
     bit_generator = stream(seed, replicate, domain).bit_generator
     bit_generator.advance(word // 4)
@@ -164,6 +167,12 @@ def walk_sites(
     steps *= 2
     steps -= 1
     return np.cumsum(sites, out=sites)
+
+
+def _check_steps(steps: int) -> None:
+    """Reject a walk of more than ``_MAX_STEPS`` steps, naming its length."""
+    if steps > _MAX_STEPS:
+        raise ValueError(f"a walk of {steps:.6g} steps exceeds the limit of 2**62 steps")
 
 
 def simulate_walk(n_steps: int, seed: int) -> np.ndarray:

@@ -329,6 +329,12 @@ def test_verify_config_out_of_range_exits_two(capsys, option, value, message):
             ("profile", "--n", "100", "--eps", "1e-17", "--seed", "3"),
             "eps must be >= 9.31e-09 for 100 steps at n = 100, got 1e-17",
         ),
+        # A walk longer than 2**62 steps is refused before numpy sizes it.
+        (("verify", "density", "--t", "1e300"), "a walk of 1e+304 steps exceeds the limit of 2**62"),
+        (("verify", "levy", "--t", "1e300"), "a walk of 1e+304 steps exceeds the limit of 2**62"),
+        (("profile", "--t", "1e300"), "a walk of 1e+304 steps exceeds the limit of 2**62"),
+        (("walk", "--steps", str(10**20)), "a walk of 1e+20 steps exceeds the limit of 2**62"),
+        (("curve", "--steps", str(10**20)), "a walk of 1e+20 steps exceeds the limit of 2**62"),
     ],
 )
 def test_non_finite_options_exit_two(capsys, argv, message):

@@ -21,7 +21,7 @@ from wallcurve import (
     sample_identity_pair,
 )
 from wallcurve.oracle import IDENTITY_SIDES
-from wallcurve.walk import walk_sites
+from wallcurve.walk import stream, walk_sites
 
 
 def test_joint_density_values():
@@ -253,6 +253,88 @@ def test_identity_sampler_keeps_no_state_between_calls():
     assert np.array_equal(levy, sample_identity_pair(*args, "levy", 300))
     for table in oracle._byte_tables():
         assert not table.flags.writeable
+
+
+def _straight_streams(word: int):
+    """A stand-in for ``stream`` whose every raw word is ``word``."""
+    bit_generator = mock.Mock()
+    bit_generator.random_raw.side_effect = lambda size: np.full(size, word, dtype=np.uint64)
+    return lambda *args, **kwargs: mock.Mock(bit_generator=bit_generator)
+
+
+# The running sums are int8 up to m = 127, int16 up to 32767, then int32:
+# each m pair straddles one widening, where a straight walk ends at +-m.
+@pytest.mark.parametrize("m", [127, 128, 32767, 32768])
+@pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
+def test_straight_walks_at_the_sum_type_boundaries(m, up):
+    with mock.patch.object(oracle, "stream", _straight_streams(2**64 - 1 if up else 0)):
+        pairs = {side: sample_identity_pair(1.0, 0, m, side, 3) for side in ("lhs", "reversal", "levy")}
+    end = m if up else -m
+    expected = {"lhs": (end, 1), "reversal": (end, 1), "levy": (0, m) if up else (m, 0)}
+    for side, pair in expected.items():
+        assert np.array_equal(pairs[side], np.tile(np.divide(pair, np.sqrt(m)), (3, 1))), side
+
+
+def _dense_hits_at(hits: np.ndarray, code: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Visit counts by clip-and-gather over every byte, in int64.
+
+    Offsets are clipped to +-9 and read from the table padded with a zero
+    column at each end, so an offset out of a byte's reach counts nothing.
+    """
+    padded = np.pad(hits, ((0, 0), (1, 1))).ravel()
+    index = np.clip(offset.astype(np.int64), -9, 9) + 19 * code.astype(np.int64) + 9
+    return padded[index].sum(axis=1)
+
+
+@st.composite
+def _visit_blocks(draw):
+    """A block of table rows and offsets as the sampler builds them: 8-step
+    bytes, the last one of each row possibly partial, and offsets of the
+    running-sum type, clear of its minimum."""
+    rows, width = draw(st.integers(1, 5)), draw(st.integers(1, 30))
+    dtype = draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64]))
+    top = int(np.iinfo(dtype).max)
+    offset = st.one_of(
+        st.integers(-10, 10), st.sampled_from([-9, -8, 8, 9, -top, top]), st.integers(-top, top)
+    )
+    steps = np.full(width, 8)
+    steps[-1] = draw(st.integers(1, 8))
+    byte = draw(st.lists(st.integers(0, 255), min_size=rows * width, max_size=rows * width))
+    code = (256 * steps + np.reshape(byte, (rows, width))).astype(np.int16)
+    offsets = draw(st.lists(offset, min_size=rows * width, max_size=rows * width))
+    return code, np.reshape(np.array(offsets, dtype=dtype), (rows, width))
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=_visit_blocks())
+@example(block=(np.array([[256 * 3 + 5]], np.int16), np.array([[-1]], np.int8)))
+@example(
+    block=(
+        np.array([[2048, 2303, 2100, 2048], [2049, 2050, 2200, 256 * 5 + 31]], np.int16),
+        np.array([[8, 9, -9, -8], [0, 2**15 - 1, 1 - 2**15, -3]], np.int16),
+    )
+)
+def test_sparse_visit_counts_equal_the_dense_kernel(block):
+    code, offset = block
+    hits = oracle._byte_tables()[2]
+    counts = oracle._hits_at(hits, code, offset)
+    assert np.array_equal(counts, _dense_hits_at(hits, code, offset))
+
+
+@pytest.mark.parametrize("side", IDENTITY_SIDES)
+def test_identity_sampler_builds_one_stream_per_replicate_and_draw(side):
+    # One walk stream per replicate on the side's domain, and for "signed"
+    # one more on the sign domain: the stream builds the benchmark counts.
+    keys = []
+
+    def spy(seed, replicate=0, domain=0):
+        keys.append((replicate, domain))
+        return stream(seed, replicate, domain)
+
+    with mock.patch.object(oracle, "_BLOCK_BYTES", 100), mock.patch.object(oracle, "stream", spy):
+        sample_identity_pair(1.0, 3, 200, side, 7)
+    domains = {"lhs": [0], "reversal": [1], "levy": [2], "signed": [2, 3]}[side]
+    assert sorted(keys) == sorted((r, d) for r in range(7) for d in domains)
 
 
 def test_exact_sampler_matches_model_moments():

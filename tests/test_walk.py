@@ -125,6 +125,11 @@ def test_walk_sites_rejects_negative_addresses(first, count):
         walk_sites(0, 0, 0, first, count)
 
 
+def test_walk_sites_rejects_a_walk_over_the_step_limit():
+    with pytest.raises(ValueError, match=r"a walk of 4\.61169e\+18 steps exceeds the limit of 2\*\*62"):
+        walk_sites(0, 0, 0, 0, 2**62 + 1)
+
+
 def test_occupation_field_hand_case():
     field = OccupationField().drop(np.array([0, 1, 0, -1]))[0]
     assert _blocks(field) == {-1: 1, 0: 2, 1: 1}
