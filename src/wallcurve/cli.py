@@ -278,6 +278,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     _check_finite("ymax", args.ymax)
     if args.levels < 1:
         raise ValueError(f"levels must be >= 1, got {args.levels}")
+    # np.linspace sizes its float64 table from the count as a float, and
+    # numpy holds no array of 2**63 bytes: 2**59 levels stay clear of both.
+    if args.levels > 1 << 59:
+        raise ValueError(f"levels must be <= 2**59, got {args.levels}")
     sites = simulate_walk(_walk_steps(args.t, args.n), args.seed)
     path = ScaledPath(n=args.n, positions=sites)
     levels = np.linspace(args.ymin, args.ymax, args.levels)

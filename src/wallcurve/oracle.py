@@ -160,15 +160,18 @@ def sample_identity_pair(
 
     The site array is never built.  Each replicate's ``ceil(m/64)`` raw
     words hold its steps in the rule of :mod:`wallcurve.walk`, so their
-    little-endian bytes are the up-steps packed eight to a byte, the first
-    in the lowest bit.  Replicates are drawn in blocks of about
-    ``_BLOCK_BYTES`` bytes of words (one row per replicate, so memory stays
-    O(m) at any ``replicates``), and each statistic is reduced from
-    :func:`_byte_tables` lookups plus one running sum per byte.  The table
-    row of each byte is held in int16, and the running sums in the
-    narrowest signed type that holds ``m``; visit counts gather only the
-    bytes that start near the target site (:func:`_hits_at`).  A
-    replicate's sign is step 0 of its own sign stream.
+    little-endian ``uint16`` chunks are the up-steps packed sixteen to a
+    chunk, the first in the lowest bit.  Replicates are drawn in blocks of
+    about ``_BLOCK_BYTES`` bytes of words (one row per replicate, so memory
+    stays O(m) at any ``replicates``), and each statistic is reduced from
+    :func:`_chunk_tables` lookups plus one running sum per chunk.  The
+    unread bits of each row's last chunk are cleared: its ``tail`` steps
+    after the walk's end then step down, move no maximum and no visit to
+    the end site, and visit 0 once exactly when ``1 <= end <= tail``.  The
+    running sums are held in the narrowest signed type whose maximum is at
+    least ``16*ceil(m/16)``, and visit counts gather only the chunks that
+    start near the target site (:func:`_hits_at`).  A replicate's sign is
+    step 0 of its own sign stream.
     """
     _check_positive("t", t)
     if n < 1:
@@ -181,37 +184,36 @@ def sample_identity_pair(
     words = -(-m // 64)
     rows = min(replicates, max(1, _BLOCK_BYTES // (8 * words)))
     raw = np.empty((rows, words), dtype="<u8")
-    n_bytes = -(-m // 8)
-    # Table row of each byte: 256 * (steps in the byte), the last one partial.
-    # Rows reach 256 * 8 + 255, so int16 holds them.
-    base = np.full(n_bytes, 256 * 8, dtype=np.int16)
-    base[-1] = 256 * (m - 8 * (n_bytes - 1))
-    # Every running sum, byte start, offset and running maximum below is one
-    # site of the walk's first m steps less another (or the origin), so it
-    # lies in [-m, m].  A signed type whose maximum is at least m holds all
-    # of them and never meets its own minimum, where np.abs would wrap.
-    sums = next(d for d in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(d).max >= m)
-    net, peak, hits = _byte_tables()
+    span = 16 * -(-m // 16)  # the steps of the whole chunks read
+    tail = span - m
+    # Every chunk start, offset and running maximum below is one site of the
+    # walk less another (or the origin), in [-m, m], and the running sum
+    # with the tail stays in [-span, m].  A signed type whose maximum is at
+    # least span never meets its own minimum, where np.abs would wrap.
+    sums = next(d for d in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(d).max >= span)
+    net, peak = _chunk_tables()
     domain = _WALK_DOMAIN[side]
     out = np.empty((replicates, 2))
     for lo in range(0, replicates, rows):
         block = raw[: min(rows, replicates - lo)]
         for i in range(len(block)):
             block[i] = stream(seed, lo + i, domain=domain).bit_generator.random_raw(words)
-        code = base + block.view(np.uint8)[:, :n_bytes]
-        step = net.take(code)
+        chunk = block.view("<u2")[:, : span // 16]
+        chunk[:, -1] &= 0xFFFF >> tail
+        step = net.take(chunk)
         start = np.cumsum(step, axis=1, dtype=sums)
-        end = start[:, -1].copy()
-        start -= step  # each byte's first site
+        end = start[:, -1] + tail
+        start -= step  # each chunk's first site
         pairs = out[lo : lo + len(block)]
         if side == "lhs":
             pairs[:, 0] = end
-            pairs[:, 1] = (end == 0) + _hits_at(hits, code, end[:, None] - start)
+            pairs[:, 1] = (end == 0) + _hits_at(chunk, end[:, None] - start)
         elif side == "reversal":
             pairs[:, 0] = end
-            pairs[:, 1] = 1 + _hits_at(hits, code, -start)  # 1: the visit at time 0
+            # 1: the visit at time 0; the tail's visit to 0 is taken back.
+            pairs[:, 1] = 1 + _hits_at(chunk, -start) - ((end >= 1) & (end <= tail))
         else:
-            run_max = np.maximum((start + peak.take(code)).max(axis=1), 0)
+            run_max = np.maximum((start + peak.take(chunk)).max(axis=1), 0)
             pairs[:, 0] = run_max - end
             pairs[:, 1] = run_max
     out /= np.sqrt(float(n))
@@ -226,40 +228,56 @@ def sample_identity_pair(
     return out
 
 
-def _hits_at(hits: np.ndarray, code: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Per row, the steps that land ``offset`` sites from their byte's first site.
+def _hits_at(chunk: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Per row, the steps that land ``offset`` sites from their chunk's first site.
 
-    A byte's steps land within 8 sites of its first site, so only the bytes
-    with ``|offset| <= 8`` are gathered, and one ``np.bincount`` adds up
-    their visits per row.  The sums are float64 counts far below 2**53,
-    hence exact.
+    A chunk's steps land within 16 sites of its first site, so only the
+    chunks with ``|offset| <= 16`` are gathered.  Each is read as its two
+    bytes through the padded byte table of visits, the high byte at the
+    offset less the low byte's net displacement, and one ``np.bincount``
+    adds up the visits per row.  The sums are float64 counts far below
+    2**53, hence exact.
     """
-    near = np.flatnonzero(np.abs(offset) <= 8)
-    visits = hits[code.ravel()[near], offset.ravel()[near] + 8]
+    net, _, hits = _byte_tables()
+    near = np.flatnonzero(np.abs(offset) <= 16)
+    chunk = chunk.ravel().take(near)
+    low = (chunk & 255).astype(np.int32)
+    column = offset.ravel().take(near).astype(np.int32) + 24
+    high = (chunk >> 8).astype(np.int32) * 49 + column - net.take(low)
+    visits = hits.take(low * 49 + column) + hits.take(high)  # flat: 49 columns a row
     return np.bincount(near // offset.shape[1], weights=visits, minlength=len(offset))
 
 
 @functools.cache
 def _byte_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tables of a walk's bytes of packed up-steps, indexed by ``256 * L + byte``.
+    """Tables of a byte of eight packed up-steps, the first in its lowest bit.
 
-    A byte holds ``L`` in 1..8 steps, the first in its lowest bit; the bits
-    above the ``L``-th are not read.  Relative to the byte's first site the
-    tables give the net displacement, the highest site reached, and the
-    visits to each offset -8..8 (a row of 17 columns per byte).  The tables
-    are read-only, since every call shares them.
+    Relative to the byte's first site they give the net displacement, the
+    highest site reached, and the visits to each offset -24..24 (a row of
+    49 columns per byte, zero beyond +-8, so an offset out of the byte's
+    reach counts nothing).
     """
     byte = np.arange(256)
     sites = np.cumsum(2 * ((byte[:, None] >> np.arange(8)) & 1) - 1, axis=1)
-    net = np.zeros((9, 256), dtype=np.int8)
-    peak = np.zeros((9, 256), dtype=np.int8)
-    hits = np.zeros((9, 256, 17), dtype=np.int8)
-    for steps in range(1, 9):
-        prefix = sites[:, :steps]
-        net[steps] = prefix[:, -1]
-        peak[steps] = prefix.max(axis=1)
-        hits[steps] = (prefix[:, :, None] == np.arange(-8, 9)).sum(axis=1)
-    tables = net.ravel(), peak.ravel(), hits.reshape(9 * 256, 17)
+    hits = (sites[:, :, None] == np.arange(-24, 25)).sum(axis=1)
+    return _read_only(sites[:, -1], sites.max(axis=1), hits)
+
+
+@functools.cache
+def _chunk_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Net displacement and highest site of a 16-step chunk, by its ``uint16``.
+
+    The low byte's steps come first, so the high byte starts at the low
+    byte's net displacement.
+    """
+    net, peak, _ = _byte_tables()
+    # Row: the high byte; column: the low byte.
+    return _read_only((net + net[:, None]).ravel(), np.maximum(peak, net + peak[:, None]).ravel())
+
+
+def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The tables as int8 arrays that refuse writes, since every call shares them."""
+    tables = tuple(table.astype(np.int8) for table in tables)
     for table in tables:
         table.setflags(write=False)
     return tables

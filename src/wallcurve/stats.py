@@ -177,8 +177,13 @@ def _bin_probabilities(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     y, wy = rule(y_edges)
     s, ws = rule(s_edges)
-    density = oracle.joint_density(y[:, :, None, None], s, t)
-    probs = (wy[:, :, None, None] * density * ws).sum(axis=(1, 3))
+    with np.errstate(all="ignore"):  # a t whose masses underflow is refused below
+        density = oracle.joint_density(y[:, :, None, None], s, t)
+        probs = (wy[:, :, None, None] * density * ws).sum(axis=(1, 3))
+    # Once t**3 leaves the normal floats (t below about 2.8e-103) the masses
+    # drift off a sum of 1, and below about 1.7e-108 they read nan.
+    if not abs(probs.sum() - 1.0) <= 1e-12:
+        raise ValueError(f"t = {t!r} is too small for the GOF: its cell masses underflow")
     return y_edges, s_edges, probs
 
 

@@ -17,11 +17,11 @@ Seed, replicate and domain are taken mod 2**64.
 The step rule (stream format v6): step ``k`` of a stream goes up when bit
 ``k mod 64`` of raw Philox word ``k div 64`` is set, lowest bit first, so
 one word holds 64 steps.  :func:`walk_sites` is the one reader of that rule,
-addressed by step index; the identity sampler reads the same bits as bytes
-straight from the words.  :meth:`OccupationField.drop` is the one block
-counter, the streaming wall.  A read of steps ``first .. first + count - 1``
-depends on nothing but its address, so a walk read chunk by chunk, and a
-wall fed chunk by chunk, match the one-shot versions exactly.
+addressed by step index; the identity sampler reads the same bits as 16-step
+``uint16`` chunks straight from the words.  :meth:`OccupationField.drop` is
+the one block counter, the streaming wall.  A read of steps ``first ..
+first + count - 1`` depends on nothing but its address, so a walk read chunk
+by chunk, and a wall fed chunk by chunk, match the one-shot versions exactly.
 """
 
 from __future__ import annotations

@@ -335,6 +335,13 @@ def test_verify_config_out_of_range_exits_two(capsys, option, value, message):
         (("profile", "--t", "1e300"), "a walk of 1e+304 steps exceeds the limit of 2**62"),
         (("walk", "--steps", str(10**20)), "a walk of 1e+20 steps exceeds the limit of 2**62"),
         (("curve", "--steps", str(10**20)), "a walk of 1e+20 steps exceeds the limit of 2**62"),
+        # A count that wraps in np.linspace is refused before it gets there.
+        (("profile", "--levels", str(2**63)), f"levels must be <= 2**59, got {2**63}"),
+        # The GOF cell masses of a t this small underflow to nan.
+        (
+            ("verify", "density", "--t", "1e-200"),
+            "t = 1e-200 is too small for the GOF: its cell masses underflow",
+        ),
     ],
 )
 def test_non_finite_options_exit_two(capsys, argv, message):

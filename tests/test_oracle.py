@@ -234,10 +234,18 @@ def _reference_identity_pair(seed: int, m: int, side: str, replicates: int) -> n
 @example(side="reversal", m=64, replicates=6, block_bytes=8, seed=5)
 @example(side="levy", m=65, replicates=7, block_bytes=40, seed=6)
 @example(side="signed", m=129, replicates=9, block_bytes=100, seed=7)
+@example(side="lhs", m=15, replicates=4, block_bytes=8, seed=8)
+@example(side="reversal", m=16, replicates=4, block_bytes=8, seed=9)
+@example(side="signed", m=17, replicates=5, block_bytes=16, seed=10)
+@example(side="levy", m=31, replicates=6, block_bytes=8, seed=11)
+@example(side="lhs", m=32, replicates=7, block_bytes=24, seed=12)
+@example(side="reversal", m=33, replicates=8, block_bytes=16, seed=13)
+@example(side="levy", m=112, replicates=9, block_bytes=32, seed=14)
+@example(side="reversal", m=113, replicates=10, block_bytes=40, seed=15)
 def test_identity_sampler_equals_per_replicate_walks(side, m, replicates, block_bytes, seed):
     # A small block cap splits the replicates into blocks, the last one
-    # partial; m covers walks under one byte, whole bytes, odd lengths and
-    # walks of one, two and three words.
+    # partial; m covers walks under one chunk, whole chunks, the seams
+    # either side of them, odd lengths and walks of one, two and three words.
     with mock.patch.object(oracle, "_BLOCK_BYTES", block_bytes):
         pairs = sample_identity_pair(1.0, seed, m, side, replicates)
     assert np.array_equal(pairs, _reference_identity_pair(seed, m, side, replicates))
@@ -251,7 +259,7 @@ def test_identity_sampler_keeps_no_state_between_calls():
     again = sample_identity_pair(*args, "lhs", 300)
     assert np.array_equal(lhs, again)
     assert np.array_equal(levy, sample_identity_pair(*args, "levy", 300))
-    for table in oracle._byte_tables():
+    for table in oracle._byte_tables() + oracle._chunk_tables():
         assert not table.flags.writeable
 
 
@@ -262,9 +270,11 @@ def _straight_streams(word: int):
     return lambda *args, **kwargs: mock.Mock(bit_generator=bit_generator)
 
 
-# The running sums are int8 up to m = 127, int16 up to 32767, then int32:
-# each m pair straddles one widening, where a straight walk ends at +-m.
-@pytest.mark.parametrize("m", [127, 128, 32767, 32768])
+# The running sums are int8 up to m = 112, int16 up to 32752, then int32:
+# a down walk's sum reaches -16 * ceil(m/16) with the cleared tail, so the
+# pairs 112, 113 and 32752, 32753 straddle the widenings.  At 127, 128 and
+# 32767, 32768 a straight up walk ends at m, either side of a type maximum.
+@pytest.mark.parametrize("m", [112, 113, 127, 128, 32752, 32753, 32767, 32768])
 @pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
 def test_straight_walks_at_the_sum_type_boundaries(m, up):
     with mock.patch.object(oracle, "stream", _straight_streams(2**64 - 1 if up else 0)):
@@ -275,50 +285,86 @@ def test_straight_walks_at_the_sum_type_boundaries(m, up):
         assert np.array_equal(pairs[side], np.tile(np.divide(pair, np.sqrt(m)), (3, 1))), side
 
 
-def _dense_hits_at(hits: np.ndarray, code: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Visit counts by clip-and-gather over every byte, in int64.
-
-    Offsets are clipped to +-9 and read from the table padded with a zero
-    column at each end, so an offset out of a byte's reach counts nothing.
-    """
-    padded = np.pad(hits, ((0, 0), (1, 1))).ravel()
-    index = np.clip(offset.astype(np.int64), -9, 9) + 19 * code.astype(np.int64) + 9
-    return padded[index].sum(axis=1)
+def _dense_hits_at(chunk: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Visit counts by unpacking all 16 steps of every chunk, in int64."""
+    steps = 2 * ((chunk.astype(np.int64)[..., None] >> np.arange(16)) & 1) - 1
+    sites = np.cumsum(steps, axis=-1)
+    return (sites == offset.astype(np.int64)[..., None]).sum(axis=(1, 2))
 
 
 @st.composite
 def _visit_blocks(draw):
-    """A block of table rows and offsets as the sampler builds them: 8-step
-    bytes, the last one of each row possibly partial, and offsets of the
-    running-sum type, clear of its minimum."""
+    """A block of chunks and offsets as the sampler builds them: 16-step
+    chunks, the last one of each row cleared above its first 1..16 steps,
+    and offsets of the running-sum type, clear of its minimum."""
     rows, width = draw(st.integers(1, 5)), draw(st.integers(1, 30))
     dtype = draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64]))
     top = int(np.iinfo(dtype).max)
     offset = st.one_of(
-        st.integers(-10, 10), st.sampled_from([-9, -8, 8, 9, -top, top]), st.integers(-top, top)
+        st.integers(-18, 18), st.sampled_from([-17, -16, 16, 17, -top, top]), st.integers(-top, top)
     )
-    steps = np.full(width, 8)
-    steps[-1] = draw(st.integers(1, 8))
-    byte = draw(st.lists(st.integers(0, 255), min_size=rows * width, max_size=rows * width))
-    code = (256 * steps + np.reshape(byte, (rows, width))).astype(np.int16)
+    chunks = draw(st.lists(st.integers(0, 2**16 - 1), min_size=rows * width, max_size=rows * width))
+    chunk = np.reshape(np.array(chunks, np.uint16), (rows, width))
+    chunk[:, -1] &= 0xFFFF >> draw(st.integers(0, 15))
     offsets = draw(st.lists(offset, min_size=rows * width, max_size=rows * width))
-    return code, np.reshape(np.array(offsets, dtype=dtype), (rows, width))
+    return chunk, np.reshape(np.array(offsets, dtype=dtype), (rows, width))
 
 
 @settings(max_examples=300, deadline=None)
 @given(block=_visit_blocks())
-@example(block=(np.array([[256 * 3 + 5]], np.int16), np.array([[-1]], np.int8)))
+@example(block=(np.array([[5]], np.uint16), np.array([[-1]], np.int8)))
 @example(
     block=(
-        np.array([[2048, 2303, 2100, 2048], [2049, 2050, 2200, 256 * 5 + 31]], np.int16),
-        np.array([[8, 9, -9, -8], [0, 2**15 - 1, 1 - 2**15, -3]], np.int16),
+        np.array([[0x0000, 0xFFFF, 0x0034, 0x0000], [0x0001, 0x0002, 0x0098, 0x001F]], np.uint16),
+        np.array([[16, 17, -17, -16], [0, 2**15 - 1, 1 - 2**15, -3]], np.int16),
     )
 )
 def test_sparse_visit_counts_equal_the_dense_kernel(block):
-    code, offset = block
-    hits = oracle._byte_tables()[2]
-    counts = oracle._hits_at(hits, code, offset)
-    assert np.array_equal(counts, _dense_hits_at(hits, code, offset))
+    chunk, offset = block
+    assert np.array_equal(oracle._hits_at(chunk, offset), _dense_hits_at(chunk, offset))
+
+
+def _bits_of_replicate(m: int):
+    """A stand-in for ``stream`` whose replicate r, on every domain, draws
+    one word: the bits of r below bit m, and ones above, which no read of an
+    m-step walk may see.  A sign is then bit 0 of r."""
+    ones = (2**64 - 1) ^ (2**m - 1)
+
+    class BitsOfReplicate:
+        def __init__(self, seed, replicate, domain=0):
+            self.bit_generator = self
+            self.word = replicate | ones
+
+        def random_raw(self, size=None):
+            return self.word
+
+    return BitsOfReplicate
+
+
+def _direct_pairs(m: int, side: str) -> np.ndarray:
+    """Every side's pair for all 2**m walks, walk r taking the bits of r."""
+    r = np.arange(2**m)
+    steps = 2 * ((r[:, None] >> np.arange(m)) & 1) - 1
+    sites = np.cumsum(np.column_stack([np.zeros_like(r), steps]), axis=1)
+    end, top = sites[:, -1], sites.max(axis=1)
+    pair = {
+        "lhs": (end, np.count_nonzero(sites == end[:, None], axis=1)),
+        "reversal": (end, np.count_nonzero(sites == 0, axis=1)),
+    }.get(side, (top - end, top))
+    pairs = np.column_stack(pair).astype(float) / np.sqrt(float(m))
+    if side == "signed":
+        pairs[:, 0] *= np.where(r & 1, 1.0, -1.0)
+    return pairs
+
+
+@pytest.mark.parametrize("m", [*range(1, 13), 16, 17])
+def test_identity_sampler_on_every_short_walk(m):
+    # All 2**m walks of m steps, through every side: the chunk seams, the
+    # cleared tail and the reversal's tail visit, walk by walk.
+    with mock.patch.object(oracle, "stream", _bits_of_replicate(m)):
+        for side in IDENTITY_SIDES:
+            pairs = sample_identity_pair(1.0, 0, m, side, 2**m)
+            assert np.array_equal(pairs, _direct_pairs(m, side)), side
 
 
 @pytest.mark.parametrize("side", IDENTITY_SIDES)

@@ -62,3 +62,15 @@ def test_cli_runs_without_scipy(tmp_path):
 def test_cli_import_leaves_numpy_random_unloaded():
     code = "import sys\nimport wallcurve.cli\nprint('numpy.random' in sys.modules)\n"
     assert _run_fresh(code) == "False\n"
+
+
+def test_cli_import_builds_no_sampler_table():
+    # The sampler's lookup tables take a few ms to build: they are built in
+    # its first call, not at import.
+    code = (
+        "import wallcurve.cli\n"
+        "from wallcurve import oracle\n"
+        "print(oracle._byte_tables.cache_info().currsize,"
+        " oracle._chunk_tables.cache_info().currsize)\n"
+    )
+    assert _run_fresh(code) == "0 0\n"

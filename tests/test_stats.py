@@ -1,6 +1,7 @@
 """KS test, chi-square GOF, and the experiment harness."""
 
 import hashlib
+import warnings
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -231,6 +232,16 @@ def test_bin_probabilities_bytes_are_pinned():
     assert hashlib.sha256(probs.tobytes()).hexdigest() == (
         "e233e77fb675cca54a2c64229f841084f0a1383b6d3f55ae13ec50ef552a00b6"
     )
+
+
+@pytest.mark.parametrize("t", [1e-105, 1e-107, 1e-200, 5e-324])
+def test_gof_refuses_a_t_whose_cell_masses_underflow(t):
+    # No numpy warning comes before the refusal, and t = 1e-103 still holds.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^t = {t!r} is too small for the GOF: its cell"):
+            chi2_gof_2d(np.zeros((500, 2)), t)
+        assert _bin_probabilities(1e-103)[2].sum() == pytest.approx(1.0, rel=0, abs=1e-14)
 
 
 @pytest.mark.parametrize("t", [1.0, 0.37])
