@@ -282,9 +282,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
     # numpy holds no array of 2**63 bytes: 2**59 levels stay clear of both.
     if args.levels > 1 << 59:
         raise ValueError(f"levels must be <= 2**59, got {args.levels}")
+    try:
+        levels = np.linspace(args.ymin, args.ymax, args.levels)
+    except MemoryError:
+        raise ValueError(f"{args.levels} levels do not fit in memory") from None
     sites = simulate_walk(_walk_steps(args.t, args.n), args.seed)
     path = ScaledPath(n=args.n, positions=sites)
-    levels = np.linspace(args.ymin, args.ymax, args.levels)
     values = local_time_profile(path, args.t, levels, eps=args.eps, estimator=args.estimator)
     _write(args.output, _table(args.format, ["y", "local_time"], (levels, values)))
     return 0

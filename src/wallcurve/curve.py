@@ -25,9 +25,10 @@ from .scaling import (
     _check_time,
     band_local_time,
 )
+from .walk import OccupationField, _check_steps, discrete_brick_trace, walk_sites
 # ``stream`` is only called through ``walk_sites``; the benchmark's tracer
 # still looks the name up in this module.
-from .walk import OccupationField, discrete_brick_trace, stream, walk_sites  # noqa: F401
+from .walk import stream  # noqa: F401
 
 __all__ = [
     "CurveTrace",
@@ -175,9 +176,20 @@ def fill_order_check(trace: CurveTrace) -> list[tuple[int, int]]:
     return list(zip(order[hits].tolist(), order[hits + 1].tolist()))
 
 
-_BLOCK_STEPS = 1 << 16
+_BLOCK_STEPS = 1 << 16  # at most the 2**16 visits ``OccupationField._rank`` takes
 _MAX_CELLS = 1 << 24
 _UNCOVERED = np.iinfo(np.int64).max
+
+
+def _entries_reached(entries, before, order, starts):
+    """Site offset ``j``, count ``c`` and position of each visit of a ranked
+    block whose count is in the sorted ``entries``: the ``(c - before[j])``-th
+    visit of site ``lo + j``, for ``before[j] < c <= before[j] + run``."""
+    a, b = np.searchsorted(entries, (before, before + np.diff(starts)), "right")
+    j = np.repeat(np.arange(len(before)), b - a)
+    # Site j reaches entries[a[j]] .. entries[b[j] - 1], in order.
+    counts = entries[np.arange(len(j)) + np.repeat(b - np.cumsum(b - a), b - a)]
+    return j, counts, order[starts[j] + counts - before[j] - 1].astype(np.int64)
 
 
 def coverage_check(
@@ -196,17 +208,16 @@ def coverage_check(
 
     The walk streams in blocks of ``_BLOCK_STEPS`` steps after the origin
     block at step 0, each read by its step index
-    (:func:`~wallcurve.walk.walk_sites`), with per-site visit counts
-    carried across blocks by the streaming wall
-    (:meth:`~wallcurve.walk.OccupationField.drop`), so memory stays
+    (:func:`~wallcurve.walk.walk_sites`) and ranked by site on the streaming
+    wall (:meth:`~wallcurve.walk.OccupationField._rank`), so memory stays
     bounded.  Each cell keeps the step of its first trace point.  A site's
     count goes up one at a time, so only the visits that enter a height row
-    are marked, read off two per-count tables sized from the tallest site
-    so far and doubled as it grows.  The run stops after the block
-    that covers the grid or spends the budget; the stop test reads the
-    lowest uncovered cell and scans on from it only once that cell is
-    covered.  No result depends on the block size, and covered counts are
-    monotone in the budget.
+    are marked, found from the sorted row-entering counts each site passes
+    (:func:`_entries_reached`) in tables sized from the tallest site so far.
+    The run stops after the block that covers the grid or spends the budget
+    (at most 2**62); the stop test reads the lowest uncovered cell and scans
+    on from it only once that cell is covered.  No result depends on the
+    block size, and covered counts are monotone in the budget.
     """
     if not window.x_lo < window.x_hi:
         raise ValueError("window must satisfy x_lo < x_hi")
@@ -215,6 +226,7 @@ def coverage_check(
     _check_positive("cell size delta", delta)
     if step_budget < 1:
         raise ValueError(f"step budget must be >= 1, got {step_budget}")
+    _check_steps(step_budget)
     if n < 1:
         raise ValueError(f"scale parameter n must be >= 1, got {n}")
 
@@ -230,28 +242,27 @@ def coverage_check(
     first = np.full(total, _UNCOVERED, dtype=np.int64)
     cursor = 0  # the lowest uncovered cell, or ``total`` once there is none
     root_n = np.sqrt(float(n))
-    rows = enters = np.zeros(0, dtype=np.int64)
+    rows = entries = np.zeros(0, dtype=np.int64)
 
     # ``step`` is the step of ``sites[0]``, so the origin block is step 0.
     wall, step, sites = OccupationField(), 0, walk_sites(seed, 0, 0, 0, 0)
     while True:
-        wall, counts = wall.drop(sites)
+        wall, lo, before, order, starts = wall._rank(sites)
         tallest = int(wall.counts.max())
         if tallest >= len(rows):
-            # The row of each visit count c, and whether c is the lowest
-            # count in its row (c = 0 shares row 0 but is never a height).
-            c = np.arange(max(2 * len(rows), tallest + 1))
-            h = c / root_n
+            # The row of each visit count, and the counts lowest in their
+            # row below h_hi (0 shares row 0 with 1 but is never a height).
+            h = np.arange(max(2 * len(rows), tallest + 1)) / root_n
             rows = np.minimum((h / delta).astype(np.int64), nh - 1)
-            enters = (h < window.h_hi) & (c >= 1)
-            enters[2:] &= rows[2:] != rows[1:-1]
-        hit = np.flatnonzero(enters[counts])
-        x = sites[hit] / root_n
+            lowest = np.r_[False, True, rows[2:] != rows[1:-1]]
+            entries = np.flatnonzero(lowest & (h < window.h_hi))
+        j, counts, hit = _entries_reached(entries, before, order, starts)
+        x = (lo + j) / root_n
         # x >= x_lo, so no index is negative.
         keep = (x >= window.x_lo) & (x < window.x_hi)
-        hit, x = hit[keep], x[keep]
+        counts, hit, x = counts[keep], hit[keep], x[keep]
         ix = np.minimum(((x - window.x_lo) / delta).astype(np.int64), nx - 1)
-        np.minimum.at(first, ix * nh + rows[counts[hit]], step + hit)
+        np.minimum.at(first, ix * nh + rows[counts], step + hit)
         step += len(sites)
         if first[cursor] != _UNCOVERED:
             rest = first[cursor:] == _UNCOVERED

@@ -72,8 +72,12 @@ def joint_density(y, s, t: float):
     # sign check that takes scalars, lists and arrays alike.
     if np.minimum.reduce(s, axis=None, initial=0.0) < 0:
         raise ValueError("height s must be >= 0")
+    try:
+        cube = t**3
+    except OverflowError:
+        raise ValueError(f"t = {t} is too large: t**3 overflows") from None
     r = np.abs(y) + s
-    out = r / np.sqrt(2.0 * np.pi * t**3) * np.exp(-(r**2) / (2.0 * t))
+    out = r / np.sqrt(2.0 * np.pi * cube) * np.exp(-(r**2) / (2.0 * t))
     return out if isinstance(out, np.ndarray) else float(out)
 
 

@@ -146,11 +146,14 @@ def _wall_at(path: ScaledPath, m: int) -> OccupationField:
     """The wall of the walk's first ``m + 1`` sites.  The path keeps its last
     one: a later ``m`` grows it, an earlier one starts again from empty.
     ``_grow`` builds new arrays, so a wall handed out never changes and
-    threads sharing a path need no lock."""
+    threads sharing a path need no lock.  Only the new sites' span is tallied."""
     done, wall = path._wall
     if m < done:
         done, wall = -1, OccupationField()
-    wall = wall._grow(path.positions[done + 1 : m + 1])[0]
+    if m > done:
+        sites = path.positions[done + 1 : m + 1].astype(np.int64)
+        lo = int(sites.min())
+        wall = wall._grow(lo, np.bincount(sites - lo))[0]
     object.__setattr__(path, "_wall", (m, wall))
     return wall
 

@@ -18,10 +18,11 @@ The step rule (stream format v6): step ``k`` of a stream goes up when bit
 ``k mod 64`` of raw Philox word ``k div 64`` is set, lowest bit first, so
 one word holds 64 steps.  :func:`walk_sites` is the one reader of that rule,
 addressed by step index; the identity sampler reads the same bits as 16-step
-``uint16`` chunks straight from the words.  :meth:`OccupationField.drop` is
-the one block counter, the streaming wall.  A read of steps ``first ..
-first + count - 1`` depends on nothing but its address, so a walk read chunk
-by chunk, and a wall fed chunk by chunk, match the one-shot versions exactly.
+``uint16`` chunks straight from the words.  ``OccupationField._rank``, on
+the streaming wall, is the one visit ranking, which ``drop`` and coverage
+read.  A read of steps ``first .. first + count - 1`` depends on nothing but
+its address, so a walk read chunk by chunk, and a wall fed chunk by chunk,
+match the one-shot versions exactly.
 """
 
 from __future__ import annotations
@@ -93,47 +94,50 @@ class OccupationField:
 
     Counts are stored densely from ``min_site`` upward; a walk visits every
     site between its running extremes, so the dense window has no holes.
-    ``OccupationField()`` is the empty wall.
+    ``OccupationField()`` is the empty wall.  :meth:`drop` ranks its visits
+    by site in blocks of at most 2**16, one sort each (:meth:`_rank`).
     """
 
     min_site: int = 0
     counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
-    def _grow(self, sites: np.ndarray) -> tuple[OccupationField, np.ndarray, np.ndarray]:
-        """The wall with one more block on each of ``sites``, the sites'
-        offsets in its window, and the number of new blocks at each of its
-        sites (``np.bincount`` of the offsets over the whole window)."""
-        sites = np.asarray(sites, dtype=np.int64)
-        if len(sites) == 0:
-            return self, sites, np.zeros(len(self.counts), dtype=np.int64)
-        lo, hi = int(sites.min()), int(sites.max())
+    def _grow(self, lo: int, tally: np.ndarray) -> tuple[OccupationField, np.ndarray]:
+        """The wall with ``tally[j]`` more blocks on site ``lo + j``, and the
+        counts of those sites before."""
+        base, top = lo, lo + len(tally)
         if len(self.counts):
-            lo = min(lo, self.min_site)
-            hi = max(hi, self.min_site + len(self.counts) - 1)
-        counts = np.zeros(hi - lo + 1, dtype=np.int64)
-        offset = self.min_site - lo
-        counts[offset : offset + len(self.counts)] = self.counts
-        idx = sites - lo
-        tally = np.bincount(idx, minlength=len(counts))
-        counts += tally
-        return OccupationField(min_site=lo, counts=counts), idx, tally
+            base, top = min(base, self.min_site), max(top, self.min_site + len(self.counts))
+        counts = np.zeros(top - base, dtype=np.int64)
+        counts[self.min_site - base : self.min_site - base + len(self.counts)] = self.counts
+        before = counts[lo - base : lo - base + len(tally)].copy()
+        counts[lo - base : lo - base + len(tally)] += tally
+        return OccupationField(min_site=base, counts=counts), before
+
+    def _rank(self, sites: np.ndarray) -> tuple:
+        """Rank 1 to 2**16 int64 visits by site: the grown wall, the lowest
+        site ``lo``, the counts ``before`` the visits of sites ``lo ..``, and
+        ``order[starts[j] : starts[j + 1]]``, the positions of site ``lo + j``.
+        The key ``(site - lo) << 16 | position`` is unique, so ``np.sort`` is
+        stable; it is uint32 if the sites span at most 2**16, as in a walk."""
+        lo = int(sites.min())
+        span = int(sites.max()) - lo + 1
+        key = np.uint32 if span <= 1 << 16 else np.uint64
+        keys = np.sort((sites - lo).astype(key) << 16 | np.arange(len(sites), dtype=key))
+        starts = np.append(np.searchsorted(keys, np.arange(span, dtype=key) << 16), len(sites))
+        wall, before = self._grow(lo, np.diff(starts))
+        return wall, lo, before, keys & 0xFFFF, starts
 
     def drop(self, sites: np.ndarray) -> tuple[OccupationField, np.ndarray]:
-        """Drop one block on each of ``sites``, in order.
-
-        Returns the grown wall and each new block's height, i.e. the number
-        of blocks at its site once it is placed.  A stable sort (radix, on
-        uint16 offsets, when the window fits) groups the blocks by site, so
-        sorted position ``p`` holds height ``p + 1`` plus its site's grown
-        count less the running sum of the tally through that site.
-        """
-        wall, idx, tally = self._grow(sites)
-        key = idx.astype(np.uint16) if len(tally) <= 1 << 16 else idx
-        order = np.argsort(key, kind="stable")
-        heights = np.empty(len(idx), dtype=np.int64)
-        heights[order] = np.arange(1, len(idx) + 1) + np.repeat(
-            wall.counts - np.cumsum(tally), tally
-        )
+        """Drop one block on each of ``sites``, in order: the grown wall and
+        each block's height, the number of blocks at its site once placed.
+        Slices of 2**16 sites are ranked (:meth:`_rank`): sorted position
+        ``p`` of site ``lo + j`` has height ``before[j] + p - starts[j] + 1``."""
+        sites = np.asarray(sites, dtype=np.int64)
+        wall, heights = self, np.empty(len(sites), dtype=np.int64)
+        for a in range(0, len(sites), 1 << 16):
+            wall, _, before, order, starts = wall._rank(sites[a : a + (1 << 16)])
+            run = np.repeat(before + 1 - starts[:-1], np.diff(starts))
+            heights[a : a + len(order)][order] = run + np.arange(len(order))
         return wall, heights
 
 

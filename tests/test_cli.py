@@ -342,6 +342,16 @@ def test_verify_config_out_of_range_exits_two(capsys, option, value, message):
             ("verify", "density", "--t", "1e-200"),
             "t = 1e-200 is too small for the GOF: its cell masses underflow",
         ),
+        # A budget over 2**62 steps is refused; this grid is covered at step 522.
+        (
+            (
+                "verify", "coverage", "--xlo", "-0.5", "--xhi", "0.5", "--hhi", "0.5",
+                "--delta", "0.25", "--n", "100", "--budget", str(2**63),
+            ),
+            "a walk of 9.22337e+18 steps exceeds the limit of 2**62",
+        ),
+        # A level grid numpy refuses at once is refused by name, before the walk.
+        (("profile", "--levels", str(2**59)), f"{2**59} levels do not fit in memory"),
     ],
 )
 def test_non_finite_options_exit_two(capsys, argv, message):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wallcurve import (
     CurveTrace,
+    OccupationField,
     ScaledPath,
     Window,
     band_local_time,
@@ -198,6 +199,42 @@ def test_coverage_rejects_degenerate_windows():
         coverage_check(0, Window(-1.0, 1.0, -0.5), 0.05, 10, 100)
     with pytest.raises(ValueError):
         coverage_check(0, Window(-1.0, 1.0, 0.5), 0.0, 10, 100)
+
+
+def test_coverage_refuses_a_budget_over_the_step_limit():
+    # This grid is covered at step 522, so a budget the check lets through
+    # returns at once instead of walking 2**63 steps.
+    window = Window(-0.5, 0.5, 0.5)
+    assert coverage_check(0, window, 0.25, 2**62, 100).steps_used == 522
+    with pytest.raises(ValueError, match=r"a walk of 9\.22337e\+18 steps exceeds the limit of 2\*\*62"):
+        coverage_check(0, window, 0.25, 2**63, 100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n_steps=st.integers(0, 3000),
+    block=st.integers(1, 700),
+    entries=st.sets(st.integers(1, 80)),
+)
+# Every count enters a row, so each site's count before a block is an entry.
+@example(seed=0, n_steps=3000, block=500, entries=set(range(1, 81)))
+def test_entries_reached_match_a_dict_counter(seed, n_steps, block, entries):
+    sites = simulate_walk(n_steps, seed)
+    table = np.array(sorted(entries), dtype=np.int64)
+    wall, tally = OccupationField(), {}
+    for a in range(0, len(sites), block):
+        chunk = sites[a : a + block]
+        expected = set()
+        for k, site in enumerate(chunk.tolist()):
+            tally[site] = tally.get(site, 0) + 1
+            if tally[site] in entries:
+                expected.add((site, tally[site], k))
+        wall, lo, before, order, starts = wall._rank(chunk)
+        j, counts, hit = curve._entries_reached(table, before, order, starts)
+        assert hit.dtype == np.int64
+        assert len(j) == len(expected)
+        assert set(zip((lo + j).tolist(), counts.tolist(), hit.tolist())) == expected
 
 
 def test_coverage_monotone_in_budget():

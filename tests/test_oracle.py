@@ -60,6 +60,18 @@ def test_joint_density_rejects_negative_height(s):
         joint_density(0.0, s, 1.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda t: joint_density(0.0, 1.0, t), lambda t: chi2_gof_2d(np.zeros((500, 2)), t)],
+    ids=["joint_density", "chi2_gof_2d"],
+)
+def test_a_t_whose_cube_overflows_is_refused_by_name(call):
+    # t**3 of a float above about 5.6e102 overflows; 1e102 still holds.
+    assert joint_density(0.0, 1.0, 1e102) > 0
+    with pytest.raises(ValueError, match=r"^t = 1e\+200 is too large: t\*\*3 overflows"):
+        call(1e200)
+
+
 _ORACLE_CALLS = {
     "joint_density": lambda t: joint_density(0.1, 0.2, t),
     "marginal_level": lambda t: marginal_level(0.1, t),

@@ -254,3 +254,68 @@ def test_step_source_check_fails_on_mutant_sources():
 
     for mutant in (biased, seam_copy):
         assert min(_source_p_values(mutant)) < _SOURCE_ALPHA, mutant.__name__
+
+
+def _rank_cases():
+    """Visit blocks at the edges of the ranking routine, on a small prior wall."""
+    walk = simulate_walk(3 * 2**16 + 4, seed=5)
+    return {
+        "walk of 2**16 sites": walk[: 2**16],
+        "walk of 2**16 + 1 sites": walk[: 2**16 + 1],
+        # Offsets 0 .. 65535: the top uint32 key is 2**32 - 1.
+        "straight walk to offset 65535": np.arange(-7, 2**16 - 7),
+        "one site 2**16 + 1 times": np.full(2**16 + 1, 3),
+        # A span of 2**16 + 1 sites needs the uint64 key: in uint32, offset
+        # 65536 would wrap onto offset 0.
+        "sites spanning 2**16 + 1": np.array([2**16, 0, 5, 2**16, 0, 2**16 - 1, 1]),
+        "sites spanning 2**20": np.array([2**20, -3, 2**20, 9, -3, 0]),
+        "walk of 3 * 2**16 + 5 sites": walk,
+    }
+
+
+def _prior_wall():
+    return OccupationField().drop(simulate_walk(300, seed=8))[0]
+
+
+@pytest.mark.parametrize("name", list(_rank_cases()))
+def test_drop_matches_a_dict_counter(name):
+    sites = _rank_cases()[name]
+    wall = _prior_wall()
+    tally = {site: count for site, count in _blocks(wall).items() if count}
+    expected = []
+    for site in sites.tolist():
+        tally[site] = tally.get(site, 0) + 1
+        expected.append(tally[site])
+    grown, heights = wall.drop(sites)
+    assert heights.tolist() == expected
+    assert {site: count for site, count in _blocks(grown).items() if count} == tally
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, sites in _rank_cases().items() if len(sites) <= 2**16]
+)
+def test_rank_matches_a_dict_counter(name):
+    sites = _rank_cases()[name]
+    wall = _prior_wall()
+    prior = _blocks(wall)
+    visits: dict[int, list[int]] = {}
+    for k, site in enumerate(sites.tolist()):
+        visits.setdefault(site, []).append(k)
+    grown, lo, before, order, starts = wall._rank(sites)
+    span = int(sites.max()) - lo + 1
+    assert lo == sites.min()
+    assert (len(before), len(starts)) == (span, span + 1)
+    expected_before = np.zeros(span, dtype=np.int64)
+    for site, count in prior.items():
+        if 0 <= site - lo < span:
+            expected_before[site - lo] = count
+    assert before.tolist() == expected_before.tolist()
+    # Unvisited sites have empty runs; each visited site's run is its visits.
+    assert np.flatnonzero(np.diff(starts)).tolist() == sorted(site - lo for site in visits)
+    for site, ks in visits.items():
+        assert order[starts[site - lo] : starts[site - lo + 1]].tolist() == ks
+    for site, ks in visits.items():
+        prior[site] = prior.get(site, 0) + len(ks)
+    assert {site: count for site, count in _blocks(grown).items() if count} == {
+        site: count for site, count in prior.items() if count
+    }
