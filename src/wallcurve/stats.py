@@ -447,7 +447,8 @@ def estimator_agreement(seed: int, n: int, t: float = 1.0) -> float:
     decays only like the square root of the band width; see the tests.
     """
     root_n = np.sqrt(float(n))
-    levels = np.unique(np.rint(np.linspace(-np.sqrt(t), np.sqrt(t), 101) * root_n)) / root_n
+    sites = np.rint(np.linspace(-np.sqrt(t), np.sqrt(t), 101) * root_n)  # sorted
+    levels = sites[np.r_[True, sites[1:] != sites[:-1]]] / root_n
     path = ScaledPath(n=n, positions=simulate_walk(_walk_steps(t, n), seed))
     eps = 0.5 / root_n
     band = local_time_profile(path, t, levels, eps, "band")
@@ -472,14 +473,16 @@ def _run_coverage(config: ExperimentConfig) -> TestReport:
     report = coverage_check(
         config.seed, config.window, config.delta, config.step_budget, config.n
     )
-    times = report.first_cover_time[~np.isnan(report.first_cover_time)]
+    times = np.sort(report.first_cover_time[~np.isnan(report.first_cover_time)])
+    k = times.size
+    # The median as np.median takes it, without the numpy.ma import it makes.
     quantiles = (
         {
-            "min": float(times.min()),
-            "median": float(np.median(times)),
-            "max": float(times.max()),
+            "min": float(times[0]),
+            "median": float((times[(k - 1) // 2] + times[k // 2]) / 2),
+            "max": float(times[-1]),
         }
-        if times.size
+        if k
         else {}
     )
     covered, total = report.covered_count, report.total_count

@@ -1,5 +1,7 @@
 """Curve traces, wall area, fill order, coverage."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -235,6 +237,20 @@ def test_entries_reached_match_a_dict_counter(seed, n_steps, block, entries):
         assert hit.dtype == np.int64
         assert len(j) == len(expected)
         assert set(zip((lo + j).tolist(), counts.tolist(), hit.tolist())) == expected
+
+
+def test_coverage_memory_follows_reached_cells():
+    # One block reaches 851 of the 2**22 cells.  Per cell the run holds one
+    # bool and the float64 report, not an int64 grid besides.
+    window = Window(-1.0, 1.0, 2.0)
+    tracemalloc.start()
+    try:
+        report = coverage_check(3, window, 2.0 / 2048, curve._BLOCK_STEPS, 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.covered_count, report.total_count) == (851, 2**22)
+    assert peak <= 10 * 2**22
 
 
 def test_coverage_monotone_in_budget():

@@ -65,12 +65,31 @@ def test_cli_import_leaves_numpy_random_unloaded():
 
 
 def test_cli_import_builds_no_sampler_table():
-    # The sampler's lookup tables take a few ms to build: they are built in
-    # its first call, not at import.
+    # The step rule's byte table and the sampler's tables built from it take
+    # a few ms to build: they are built on first use, not at import.
     code = (
         "import wallcurve.cli\n"
-        "from wallcurve import oracle\n"
-        "print(oracle._byte_tables.cache_info().currsize,"
+        "from wallcurve import oracle, walk\n"
+        "print(walk._byte_sites.cache_info().currsize,"
+        " oracle._byte_tables.cache_info().currsize,"
         " oracle._chunk_tables.cache_info().currsize)\n"
     )
-    assert _run_fresh(code) == "0 0\n"
+    assert _run_fresh(code) == "0 0 0\n"
+
+
+def test_cli_runs_leave_numpy_ma_unloaded(tmp_path):
+    # Importing numpy.ma takes 10-14 ms, and np.median, or np.unique without
+    # index outputs, import it under numpy 2.4.
+    runs = [
+        ["verify", "coverage", "--xlo", "-1", "--xhi", "1", "--hhi", "0.5", "--delta", "0.05"],
+        ["curve", "--estimator", "band", "--steps", "1000"],
+        ["verify", "knight", "--n", "100", "--replicates", "50"],
+    ]
+    code = (
+        "import sys\n"
+        "from wallcurve.cli import main\n"
+        f"for k, argv in enumerate({runs!r}):\n"
+        f"    main([*argv, '-o', f'{tmp_path}/{{k}}.out'])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert _run_fresh(code) == "False\n"
