@@ -25,8 +25,8 @@ from .scaling import (
     _check_time,
     band_local_time,
 )
-from .walk import OccupationField, _check_steps, _step_keys, _stream_bytes, discrete_brick_trace
-# ``stream`` is only called through ``_stream_bytes``; the benchmark's tracer
+from .walk import OccupationField, _check_steps, discrete_brick_trace, walk_sites
+# ``stream`` is only called through ``walk_sites``; the benchmark's tracer
 # still looks the name up in this module.
 from .walk import stream  # noqa: F401
 
@@ -65,8 +65,7 @@ class CoverageReport:
     """Outcome of driving the curve until it covers a cell grid.
 
     ``first_cover_time[i, j]`` is the time of the first trace point in
-    cell (i, j), NaN while uncovered; it is the one array of a float64 per
-    cell, built once the run ends.  Cells are half-open squares of side
+    cell (i, j), NaN while uncovered.  Cells are half-open squares of side
     ``delta`` anchored at (x_lo, 0).  The grid is covered when
     ``covered_count == total_count``; ``steps_used`` is then the step of
     its last first cover, and otherwise the whole step budget.
@@ -178,7 +177,7 @@ def fill_order_check(trace: CurveTrace) -> list[tuple[int, int]]:
     return list(zip(order[hits].tolist(), order[hits + 1].tolist()))
 
 
-_BLOCK_STEPS = 1 << 16  # at most the 2**16 visits ``OccupationField._rank_keys`` takes
+_BLOCK_STEPS = 1 << 16  # at most the 2**16 visits ``OccupationField._rank`` takes
 _MAX_CELLS = 1 << 24
 
 
@@ -208,19 +207,20 @@ def coverage_check(
     A grid of more than ``_MAX_CELLS`` cells raises ``ValueError``.
 
     The walk streams in blocks of ``_BLOCK_STEPS`` steps after the origin
-    block at step 0.  Each block's rank keys are built from the stream's
-    bytes at its step index (:func:`~wallcurve.walk._step_keys`) and ranked
-    by site on the streaming wall
-    (:meth:`~wallcurve.walk.OccupationField._rank_keys`), so memory stays
+    block at step 0, each read by its step index
+    (:func:`~wallcurve.walk.walk_sites`) and ranked by site on the streaming
+    wall (:meth:`~wallcurve.walk.OccupationField._rank`), so memory stays
     bounded.  A site's count goes up one at a time, so only the visits that
     enter a height row are marked, found from the sorted row-entering counts
     each site passes (:func:`_entries_reached`) in tables sized from the
-    tallest site so far.  The grid itself costs one bool per cell while the
-    run lasts: a block's marks on cells not yet covered give each such cell
-    its least step, kept as a (cell, step) pair, and the cells covered are
-    counted.  The run stops after the block that covers the grid (the count
-    reaches the total) or spends the budget (at most 2**62).  No result
-    depends on the block size, and covered counts are monotone in the budget.
+    tallest site so far.  Each cell keeps the step of its first trace point
+    as a float64 (exact below 2**53 steps), NaN while uncovered, and the
+    array is divided into the report's times in place, so the grid costs 8
+    bytes a cell however many cells are reached.  The run stops after the
+    block that covers the grid or spends the budget (at most 2**62); the
+    stop test reads the lowest uncovered cell and scans on from it only
+    once that cell is covered.  No result depends on the block size, and
+    covered counts are monotone in the budget.
     """
     if not window.x_lo < window.x_hi:
         raise ValueError("window must satisfy x_lo < x_hi")
@@ -242,18 +242,15 @@ def coverage_check(
             f"{nx} x {nh} = {nx * nh} cells of size {delta} exceed the limit of {_MAX_CELLS}"
         )
     total = nx * nh
-    covered = np.zeros(total, dtype=bool)
-    count, cells, steps = 0, [], []
+    first = np.full(total, np.nan)  # each cell's first step, as a float64
+    cursor = 0  # the lowest uncovered cell, or ``total`` once there is none
     root_n = np.sqrt(float(n))
     rows = entries = np.zeros(0, dtype=np.int64)
 
-    # ``step`` is the step of the block's first visit and ``site`` the site
-    # before it; the origin block is the one visit of site 0 at step 0.
-    wall, step, site = OccupationField(), 0, 0
-    lo, span, end, keys = 0, 1, 0, np.zeros(1, dtype=np.uint32)
+    # ``step`` is the step of ``sites[0]``, so the origin block is step 0.
+    wall, step, sites = OccupationField(), 0, walk_sites(seed, 0, 0, 0, 0)
     while True:
-        wall, lo, before, order, starts = wall._rank_keys(site + lo, span, keys)
-        site += end
+        wall, lo, before, order, starts = wall._rank(sites)
         tallest = int(wall.counts.max())
         if tallest >= len(rows):
             # The row of each visit count, and the counts lowest in their
@@ -268,24 +265,19 @@ def coverage_check(
         keep = (x >= window.x_lo) & (x < window.x_hi)
         counts, hit, x = counts[keep], hit[keep], x[keep]
         ix = np.minimum(((x - window.x_lo) / delta).astype(np.int64), nx - 1)
-        cell = ix * nh + rows[counts]
-        new = ~covered[cell]
-        # Sorted by cell, then step: the head of each cell's run is its first cover.
-        key = np.sort(cell[new] << 16 | hit[new])
-        key = key[np.diff(key >> 16, prepend=-1) != 0]
-        cells.append(key >> 16)
-        steps.append(step + (key & 0xFFFF))
-        covered[cells[-1]] = True
-        count += len(key)
-        step += len(keys)
-        if step > step_budget or count == total:
+        # fmin, unlike minimum, takes a step over the NaN of an uncovered cell.
+        np.fmin.at(first, ix * nh + rows[counts], (step + hit).astype(np.float64))
+        step += len(sites)
+        if not np.isnan(first[cursor]):
+            rest = np.isnan(first[cursor:])
+            cursor = cursor + int(rest.argmax()) if rest.any() else total
+        if step > step_budget or cursor == total:
             break
         use = min(_BLOCK_STEPS, step_budget + 1 - step)
         # Site ``step`` is reached by the stream's step ``step - 1``.
-        lo, span, end, keys = _step_keys(*_stream_bytes(seed, 0, 0, step - 1, use), use)
+        sites = walk_sites(seed, 0, 0, step - 1, use, start=int(sites[-1]))[1:]
 
-    cells, steps = np.concatenate(cells), np.concatenate(steps)
-    first_cover_time = np.full(total, np.nan)
-    first_cover_time[cells] = steps / float(n)
-    steps_used = int(steps.max()) if count == total else step_budget
-    return CoverageReport(count, total, first_cover_time.reshape(nx, nh), steps_used)
+    steps_used = int(first.max()) if cursor == total else step_budget
+    covered = total - int(np.count_nonzero(np.isnan(first)))
+    first /= n
+    return CoverageReport(covered, total, first.reshape(nx, nh), steps_used)

@@ -35,7 +35,7 @@ import functools
 import numpy as np
 
 from .scaling import _check_positive, _walk_steps
-from .walk import _byte_sites, stream
+from .walk import stream
 
 __all__ = [
     "joint_density",
@@ -254,15 +254,15 @@ def _hits_at(chunk: np.ndarray, offset: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _byte_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tables of a byte of eight packed up-steps, from its sites
-    (:func:`~wallcurve.walk._byte_sites`).
+    """Tables of a byte of eight packed up-steps, the first in its lowest bit.
 
     Relative to the byte's first site they give the net displacement, the
     highest site reached, and the visits to each offset -24..24 (a row of
     49 columns per byte, zero beyond +-8, so an offset out of the byte's
     reach counts nothing).
     """
-    sites = _byte_sites()
+    byte = np.arange(256)
+    sites = np.cumsum(2 * ((byte[:, None] >> np.arange(8)) & 1) - 1, axis=1)
     hits = (sites[:, :, None] == np.arange(-24, 25)).sum(axis=1)
     return _read_only(sites[:, -1], sites.max(axis=1), hits)
 

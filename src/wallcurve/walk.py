@@ -18,12 +18,11 @@ The step rule (stream format v6): step ``k`` of a stream goes up when bit
 ``k mod 64`` of raw Philox word ``k div 64`` is set, lowest bit first, so
 one word holds 64 steps.  :func:`walk_sites` is the one reader of that rule,
 addressed by step index; the identity sampler reads the same bits as 16-step
-``uint16`` chunks, through tables derived from the one byte table
-:func:`_byte_sites`.  ``OccupationField._rank_keys`` is the one visit
-ranking; ``drop`` keys it from int64 sites, coverage from the stream's bytes
-(:func:`_step_keys`).  A read of steps ``first .. first + count - 1``
-depends on nothing but its address, so a walk read chunk by chunk, and a
-wall fed chunk by chunk, match the one-shot versions exactly.
+``uint16`` chunks straight from the words.  ``OccupationField._rank``, on
+the streaming wall, is the one visit ranking, which ``drop`` and coverage
+read.  A read of steps ``first .. first + count - 1`` depends on nothing but
+its address, so a walk read chunk by chunk, and a wall fed chunk by chunk,
+match the one-shot versions exactly.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ class OccupationField:
     Counts are stored densely from ``min_site`` upward; a walk visits every
     site between its running extremes, so the dense window has no holes.
     ``OccupationField()`` is the empty wall.  :meth:`drop` ranks its visits
-    by site in blocks of at most 2**16, one sort each (:meth:`_rank_keys`).
+    by site in blocks of at most 2**16, one sort each (:meth:`_rank`).
     """
 
     min_site: int = 0
@@ -115,24 +114,16 @@ class OccupationField:
         return OccupationField(min_site=base, counts=counts), before
 
     def _rank(self, sites: np.ndarray) -> tuple:
-        """Rank 1 to 2**16 int64 visits by site (:meth:`_rank_keys`), keyed
-        ``(site - lo) << 16 | position``: uint32 if the sites span at most
-        2**16, as in a walk, else uint64."""
+        """Rank 1 to 2**16 int64 visits by site: the grown wall, the lowest
+        site ``lo``, the counts ``before`` the visits of sites ``lo ..``, and
+        ``order[starts[j] : starts[j + 1]]``, the positions of site ``lo + j``.
+        The key ``(site - lo) << 16 | position`` is unique, so ``np.sort`` is
+        stable; it is uint32 if the sites span at most 2**16, as in a walk."""
         lo = int(sites.min())
         span = int(sites.max()) - lo + 1
         key = np.uint32 if span <= 1 << 16 else np.uint64
-        keys = (sites - lo).astype(key) << 16 | np.arange(len(sites), dtype=key)
-        return self._rank_keys(lo, span, keys)
-
-    def _rank_keys(self, lo: int, span: int, keys: np.ndarray) -> tuple:
-        """Rank the visits of sites ``lo .. lo + span - 1`` whose unique keys
-        are ``(site - lo) << 16 | position``, sorting ``keys`` in place: the
-        grown wall, ``lo``, the counts ``before`` the visits of sites ``lo ..``,
-        and ``order[starts[j] : starts[j + 1]]``, the positions of site
-        ``lo + j``.  Unique keys make the plain sort stable."""
-        keys.sort()
-        runs = np.arange(span, dtype=keys.dtype) << 16
-        starts = np.append(np.searchsorted(keys, runs), len(keys))
+        keys = np.sort((sites - lo).astype(key) << 16 | np.arange(len(sites), dtype=key))
+        starts = np.append(np.searchsorted(keys, np.arange(span, dtype=key) << 16), len(sites))
         wall, before = self._grow(lo, np.diff(starts))
         return wall, lo, before, keys & 0xFFFF, starts
 
@@ -156,7 +147,9 @@ def walk_sites(
     """Sites of steps ``first .. first + count - 1`` of one stream, from ``start``.
 
     The one step reader: ``count + 1`` int64 sites, ``start`` first.  It
-    slices the bits of the steps' bytes (:func:`_stream_bytes`), lowest first.
+    builds the :func:`stream` of ``(seed, replicate, domain)`` once, skips
+    ``first // 256`` whole Philox counter blocks of 4 words with ``advance``,
+    draws the words that hold the steps and slices their bits, lowest first.
     Reading ``[a, b)`` and then ``[b, c)`` from the last site gives the walk
     that reading ``[a, c)`` gives.  A negative ``first`` or ``count``, or a
     ``count`` above 2**62, raises ``ValueError``.
@@ -164,58 +157,20 @@ def walk_sites(
     if first < 0 or count < 0:
         raise ValueError(f"first and count must be >= 0, got first={first}, count={count}")
     _check_steps(count)
-    data, bit = _stream_bytes(seed, replicate, domain, first, count)
-    bits = np.unpackbits(data, bitorder="little")
-    sites = np.empty(count + 1, dtype=np.int64)
-    sites[0] = start
-    steps = sites[1:]
-    steps[:] = bits[bit : bit + count]
-    steps *= 2
-    steps -= 1
-    return np.cumsum(sites, out=sites)
-
-
-def _stream_bytes(seed: int, replicate: int, domain: int, first: int, count: int) -> tuple:
-    """The little-endian bytes holding steps ``first .. first + count - 1``
-    and the bit of step ``first`` in the first byte.  The :func:`stream` is
-    built once and skips ``first // 256`` Philox blocks with ``advance``."""
     word, skip = divmod(first, 64)
     bit_generator = stream(seed, replicate, domain).bit_generator
     bit_generator.advance(word // 4)
     drop = word % 4
     words = bit_generator.random_raw(drop + -(-(skip + count) // 64))[drop:]
-    return words.astype("<u8", copy=False).view(np.uint8)[skip // 8 :], skip % 8
-
-
-@functools.cache
-def _byte_sites() -> np.ndarray:
-    """The site after each step of a byte of eight packed up-steps, the first
-    in its lowest bit, relative to the byte's first site: a read-only (256, 8)
-    int8 table whose last column is the byte's net displacement."""
-    byte = np.arange(256)
-    sites = np.cumsum(2 * ((byte[:, None] >> np.arange(8)) & 1) - 1, axis=1).astype(np.int8)
-    sites.setflags(write=False)
-    return sites
-
-
-def _step_keys(data: np.ndarray, bit: int, count: int) -> tuple:
-    """``(lo, span, end, keys)`` of 1 to 2**16 steps packed in ``data`` from
-    bit ``bit``: the lowest and last site, relative to the site before the
-    steps, the span, and the uint32 keys ``(site - lo) << 16 | position``
-    (:meth:`~OccupationField._rank_keys`).  A byte's sites are its
-    :func:`_byte_sites` row plus the exclusive prefix sum of the bytes' net
-    displacements; the bits before ``bit`` shift every site by one base."""
-    table = _byte_sites().take(data, axis=0)
-    net = table[:, -1]
-    starts = np.cumsum(net, dtype=np.int32) - net
-    sites = (starts.repeat(8) + table.ravel())[bit : bit + count]
-    lo, top, end = int(sites.min()), int(sites.max()), int(sites[-1])
-    base = int(table[0, bit - 1]) if bit else 0
-    sites -= lo
-    keys = sites.view(np.uint32)
-    keys <<= 16
-    keys |= np.arange(count, dtype=np.uint32)
-    return lo - base, top - lo + 1, end - base, keys
+    # Little-endian bytes: bit k of a word is bit k % 8 of its byte k // 8.
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    sites = np.empty(count + 1, dtype=np.int64)
+    sites[0] = start
+    steps = sites[1:]
+    steps[:] = bits[skip : skip + count]
+    steps *= 2
+    steps -= 1
+    return np.cumsum(sites, out=sites)
 
 
 def _check_steps(steps: int) -> None:

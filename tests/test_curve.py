@@ -239,18 +239,27 @@ def test_entries_reached_match_a_dict_counter(seed, n_steps, block, entries):
         assert set(zip((lo + j).tolist(), counts.tolist(), hit.tolist())) == expected
 
 
-def test_coverage_memory_follows_reached_cells():
-    # One block reaches 851 of the 2**22 cells.  Per cell the run holds one
-    # bool and the float64 report, not an int64 grid besides.
-    window = Window(-1.0, 1.0, 2.0)
+@pytest.mark.parametrize(
+    "seed, window, delta, budget, n, covered",
+    [
+        # One block reaches 851 of 2**22 cells.
+        (3, Window(-1.0, 1.0, 2.0), 2.0 / 2048, curve._BLOCK_STEPS, 10**8, 851),
+        # The walk covers all 1786 x 893 cells, after 18341669 steps.
+        (9, Window(-0.5, 0.5, 0.5), 0.00056, 10**8, 5 * 10**6, 1786 * 893),
+    ],
+)
+def test_coverage_memory_is_the_report_and_one_block(seed, window, delta, budget, n, covered):
+    # However many cells are reached, the grid costs a float64 a cell and,
+    # for a moment, a bool mask; a block's working arrays, about a dozen
+    # int64 arrays of 2**16 visits, add at most 6 MiB.
     tracemalloc.start()
     try:
-        report = coverage_check(3, window, 2.0 / 2048, curve._BLOCK_STEPS, 10**8)
+        report = coverage_check(seed, window, delta, budget, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (report.covered_count, report.total_count) == (851, 2**22)
-    assert peak <= 10 * 2**22
+    assert report.covered_count == covered
+    assert peak <= 9 * report.total_count + 6 * 2**20
 
 
 def test_coverage_monotone_in_budget():

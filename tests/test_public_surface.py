@@ -65,16 +65,15 @@ def test_cli_import_leaves_numpy_random_unloaded():
 
 
 def test_cli_import_builds_no_sampler_table():
-    # The step rule's byte table and the sampler's tables built from it take
-    # a few ms to build: they are built on first use, not at import.
+    # The sampler's lookup tables take a few ms to build: they are built in
+    # its first call, not at import.
     code = (
         "import wallcurve.cli\n"
-        "from wallcurve import oracle, walk\n"
-        "print(walk._byte_sites.cache_info().currsize,"
-        " oracle._byte_tables.cache_info().currsize,"
+        "from wallcurve import oracle\n"
+        "print(oracle._byte_tables.cache_info().currsize,"
         " oracle._chunk_tables.cache_info().currsize)\n"
     )
-    assert _run_fresh(code) == "0 0 0\n"
+    assert _run_fresh(code) == "0 0\n"
 
 
 def test_cli_runs_leave_numpy_ma_unloaded(tmp_path):

@@ -15,7 +15,7 @@ from wallcurve import (
     stream,
 )
 from wallcurve.stats import _chi2_sf
-from wallcurve.walk import _step_keys, _stream_bytes, walk_sites
+from wallcurve.walk import walk_sites
 
 
 def _blocks(field):
@@ -319,38 +319,3 @@ def test_rank_matches_a_dict_counter(name):
     assert {site: count for site, count in _blocks(grown).items() if count} == {
         site: count for site, count in prior.items() if count
     }
-
-
-def _assert_same_rank(got, want):
-    """Two visit rankings (:meth:`OccupationField._rank_keys`) agree."""
-    (wall, *parts), (wall_want, *parts_want) = got, want
-    assert wall.min_site == wall_want.min_site
-    assert wall.counts.tolist() == wall_want.counts.tolist()
-    assert parts[0] == parts_want[0]  # lo
-    for part, part_want in zip(parts[1:], parts_want[1:]):
-        assert part.tolist() == part_want.tolist()
-
-
-@pytest.mark.parametrize("count", [1, 7, 8, 9, 2**16 - 1, 2**16])
-def test_step_keys_rank_like_the_sites_they_pack(count):
-    # Every bit offset of ``first`` in its word, past one skipped Philox
-    # block and one word, from a start inside the prior wall.
-    wall, start = _prior_wall(), -3
-    for first in range(5 * 64, 6 * 64):
-        sites = walk_sites(11, 2, 1, first, count, start=start)[1:]
-        lo, span, end, keys = _step_keys(*_stream_bytes(11, 2, 1, first, count), count)
-        assert keys.dtype == np.uint32
-        assert (span, end) == (int(sites.max() - sites.min()) + 1, sites[-1] - start)
-        _assert_same_rank(wall._rank_keys(start + lo, span, keys), wall._rank(sites))
-
-
-@pytest.mark.parametrize("byte, direction", [(255, 1), (0, -1)])
-@pytest.mark.parametrize("bit", [0, 3])
-def test_step_keys_of_a_straight_walk_span_2_16_sites(byte, direction, bit):
-    # 2**16 steps one way reach the top uint32 key, offset 65535.
-    data = np.full(2**13 + 1, byte, dtype=np.uint8)
-    lo, span, end, keys = _step_keys(data, bit, 2**16)
-    assert (span, end) == (2**16, direction * 2**16)
-    sites = 5 + direction * np.arange(1, 2**16 + 1)
-    wall = _prior_wall()
-    _assert_same_rank(wall._rank_keys(5 + lo, span, keys), wall._rank(sites))
