@@ -4,9 +4,9 @@ Tables are formatted by column: CSV (comma-delimited, header row, newline
 "\\n", integer columns as integers, float columns as ``%.17g``) or JSON
 records of the same values (canonical key order, floats as ``repr``), so that
 every file round-trips byte-identically through parse/re-serialize.  Every
-CSV cell comes from a numpy kernel; ``%`` formats, in one batch, only the
-float cells outside fixed notation and non-finite values.  A JSON table
-with a float column goes through a ``%`` template.
+table goes one path: numpy kernels write integer cells and CSV float cells,
+with ``%`` only for CSV floats outside fixed notation, and JSON float cells
+are Python's ``repr``, packed into bytes by numpy.
 
 Exit codes for ``verify``: 0 pass, 1 statistical fail, 2 usage error.  Any
 command exits 2 on bad input, a request too large to allocate included, and
@@ -39,9 +39,7 @@ MAX_DEFAULT_ROWS = 100_000
 _VERIFY_NAMES = {name.removeprefix("identity-"): name for name in EXPERIMENTS}
 
 # Table cell format per numpy dtype kind; the CSV kernels give its bytes.
-# JSON writes finite floats with ``repr``, so its records use ``%r`` instead.
 _CELL = {"i": "%d", "u": "%d", "f": "%.17g"}
-_JSON_CELL = {**_CELL, "f": "%r"}
 _BLOCK = 1 << 16  # table rows formatted per write
 
 
@@ -171,12 +169,17 @@ def _float_cells(column: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _rows(pieces: list[bytes], columns) -> bytes:
-    """Rows of integer or float cells between literal ``pieces``, NUL padding removed."""
+def _repr_cells(column: np.ndarray) -> np.ndarray:
+    """Each float's ``repr`` (numpy packs a Python float as its ``str``): one uint8 row per cell."""
+    return np.array(column.tolist(), "S32").view(np.uint8).reshape(len(column), 32)
+
+
+def _rows(pieces: list[bytes], columns, float_cells) -> bytes:
+    """Rows of cells between literal ``pieces``, floats by ``float_cells``, NUL padding removed."""
     n = len(columns[0])
     parts = [np.broadcast_to(np.frombuffer(pieces[0], np.uint8), (n, len(pieces[0])))]
     for column, piece in zip(columns, pieces[1:]):
-        parts.append(_float_cells(column) if column.dtype.kind == "f" else _int_cells(column))
+        parts.append(float_cells(column) if column.dtype.kind == "f" else _int_cells(column))
         parts.append(np.broadcast_to(np.frombuffer(piece, np.uint8), (n, len(piece))))
     return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
@@ -185,40 +188,34 @@ def _table(fmt: str, header: list[str], columns, stride: int = 1) -> Iterator[by
     """A table of numpy columns as ASCII bytes: one CSV row per index, or JSON
     records.
 
-    Rows are produced ``_BLOCK`` at a time, so memory stays flat.  Every CSV
-    cell, and every cell of a JSON table of integer columns only, comes from
-    a numpy kernel (:func:`_int_cells`, :func:`_float_cells`) that gives the
-    bytes of the ``_CELL`` format.  A JSON table with a float column goes
-    row by row through a ``%`` template, as floats there are ``repr``, the
-    shortest round-tripping text; a JSON record lists its keys in sorted
-    order, as ``json.dumps(sort_keys=True, indent=2)`` does.  JSON has no
-    token for a non-finite float, so a JSON table holding one raises
-    ``ValueError``.
+    Rows are produced ``_BLOCK`` at a time, so memory stays flat, and every
+    block goes through :func:`_rows`: integer cells from :func:`_int_cells`,
+    float cells from :func:`_float_cells` (``_CELL["f"]``) in CSV and from
+    :func:`_repr_cells` (``repr``, the shortest round-tripping text) in JSON.
+    A JSON record lists its keys in sorted order, as
+    ``json.dumps(sort_keys=True, indent=2)`` does.  JSON has no token for a
+    non-finite float, so a JSON table holding one raises ``ValueError``.
     """
     columns = [c[::stride] for c in columns]
     if fmt == "json":
         header, columns = zip(*sorted(zip(header, columns), key=lambda col: col[0]))
-        fields = []
         for name, c in zip(header, columns):
             if c.dtype.kind == "f" and not np.isfinite(c).all():
                 raise ValueError(f"JSON cannot encode the non-finite values in column {name!r}")
-            fields.append(f"    {json.dumps(name)}: {_JSON_CELL[c.dtype.kind]}")
-        template = "  {\n" + ",\n".join(fields) + "\n  }"
+        template = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %d" for name in header) + "\n  }"
         head, sep, tail = "[\n", ",\n", "\n]\n"
+        float_cells = _repr_cells
     else:
         template = ",".join(["%d"] * len(columns)) + "\n"  # the cells' places only
         head, sep, tail = ",".join(header) + "\n", "", ""
-    kernel = fmt == "csv" or all(c.dtype.kind in "iu" for c in columns)
+        float_cells = _float_cells
     # The kernel ends every row with ``sep``: a block cuts its last one, and
     # the next block starts with it.
     pieces = [p.encode() for p in (template + sep).split("%d")]
     yield head.encode()
     for start in range(0, len(columns[0]), _BLOCK):
         block = [c[start : start + _BLOCK] for c in columns]
-        if kernel:
-            text = _rows(pieces, block).removesuffix(sep.encode())
-        else:
-            text = sep.join([template % row for row in zip(*(c.tolist() for c in block))]).encode()
+        text = _rows(pieces, block, float_cells).removesuffix(sep.encode())
         yield (sep if start else "").encode() + text
     yield tail.encode()
 

@@ -103,8 +103,7 @@ def build_trace(
         return CurveTrace(times, levels, heights)
     if estimator == "band":
         count = min(path.n_segments + 1, _BAND_TRACE_POINTS)
-        ks = np.linspace(0, path.n_segments, count).astype(np.int64)  # sorted
-        ks = ks[np.r_[True, ks[1:] != ks[:-1]]]
+        ks = np.linspace(0, path.n_segments, count).astype(np.int64)  # strictly increasing
         times = ks / n
         levels = positions[ks] / root_n
         heights = np.array(

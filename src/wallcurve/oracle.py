@@ -35,7 +35,7 @@ import functools
 import numpy as np
 
 from .scaling import _check_positive, _walk_steps
-from .walk import stream
+from .walk import _replicate_words, stream
 
 __all__ = [
     "joint_density",
@@ -165,8 +165,8 @@ def sample_identity_pair(
     The site array is never built.  Each replicate's ``ceil(m/64)`` raw
     words hold its steps in the rule of :mod:`wallcurve.walk`, so their
     little-endian ``uint16`` chunks are the up-steps packed sixteen to a
-    chunk, the first in the lowest bit.  Replicates are drawn in blocks of
-    about ``_BLOCK_BYTES`` bytes of words (one row per replicate, so memory
+    chunk, the first in the lowest bit.  ``_replicate_words`` reads them in
+    blocks of about ``_BLOCK_BYTES`` bytes (one row per replicate, so memory
     stays O(m) at any ``replicates``), and each statistic is reduced from
     :func:`_chunk_tables` lookups plus one running sum per chunk.  The
     unread bits of each row's last chunk are cleared: its ``tail`` steps
@@ -175,7 +175,7 @@ def sample_identity_pair(
     running sums are held in the narrowest signed type whose maximum is at
     least ``16*ceil(m/16)``, and visit counts gather only the chunks that
     start near the target site (:func:`_hits_at`).  A replicate's sign is
-    step 0 of its own sign stream.
+    step 0 of its own sign stream, read by the same reader.
     """
     _check_positive("t", t)
     if n < 1:
@@ -187,7 +187,6 @@ def sample_identity_pair(
     m = _walk_steps(t, n)
     words = -(-m // 64)
     rows = min(replicates, max(1, _BLOCK_BYTES // (8 * words)))
-    raw = np.empty((rows, words), dtype="<u8")
     span = 16 * -(-m // 16)  # the steps of the whole chunks read
     tail = span - m
     # Every chunk start, offset and running maximum below is one site of the
@@ -199,9 +198,7 @@ def sample_identity_pair(
     domain = _WALK_DOMAIN[side]
     out = np.empty((replicates, 2))
     for lo in range(0, replicates, rows):
-        block = raw[: min(rows, replicates - lo)]
-        for i in range(len(block)):
-            block[i] = stream(seed, lo + i, domain=domain).bit_generator.random_raw(words)
+        block = _replicate_words(seed, range(lo, min(lo + rows, replicates)), domain, words)
         chunk = block.view("<u2")[:, : span // 16]
         chunk[:, -1] &= 0xFFFF >> tail
         step = net.take(chunk)
@@ -224,10 +221,7 @@ def sample_identity_pair(
     if side == "signed":
         # A fair sign is the one step of a one-step walk: bit 0 of the first
         # word of the replicate's sign stream.
-        first = [
-            stream(seed, r, domain=_SIGN_DOMAIN).bit_generator.random_raw() & 1
-            for r in range(replicates)
-        ]
+        first = _replicate_words(seed, range(replicates), _SIGN_DOMAIN, 1)[:, 0] & 1
         out[:, 0] *= np.where(first, 1.0, -1.0)
     return out
 

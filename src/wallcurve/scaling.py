@@ -151,9 +151,9 @@ def _wall_at(path: ScaledPath, m: int) -> OccupationField:
     if m < done:
         done, wall = -1, OccupationField()
     if m > done:
-        sites = path.positions[done + 1 : m + 1].astype(np.int64)
+        sites = path.positions[done + 1 : m + 1]
         lo = int(sites.min())
-        wall = wall._grow(lo, np.bincount(sites - lo))[0]
+        wall = wall._grow(lo, np.bincount(np.subtract(sites, lo, dtype=np.int64)))[0]
     object.__setattr__(path, "_wall", (m, wall))
     return wall
 

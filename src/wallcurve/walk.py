@@ -17,8 +17,9 @@ Seed, replicate and domain are taken mod 2**64.
 The step rule (stream format v6): step ``k`` of a stream goes up when bit
 ``k mod 64`` of raw Philox word ``k div 64`` is set, lowest bit first, so
 one word holds 64 steps.  :func:`walk_sites` is the one reader of that rule,
-addressed by step index; the identity sampler reads the same bits as 16-step
-``uint16`` chunks straight from the words.  ``OccupationField._rank``, on
+addressed by step index, and :func:`_replicate_words` reads whole replicates'
+first words, which the identity sampler takes as 16-step ``uint16`` chunks.
+No other module touches a bit generator.  ``OccupationField._rank``, on
 the streaming wall, is the one visit ranking, which ``drop`` and coverage
 read.  A read of steps ``first .. first + count - 1`` depends on nothing but
 its address, so a walk read chunk by chunk, and a wall fed chunk by chunk,
@@ -171,6 +172,15 @@ def walk_sites(
     steps *= 2
     steps -= 1
     return np.cumsum(sites, out=sites)
+
+
+def _replicate_words(seed: int, replicates: range, domain: int, words: int) -> np.ndarray:
+    """The first ``words`` raw words of each replicate's stream on ``domain``, one
+    little-endian uint64 row each, from one :func:`stream` build and one draw."""
+    rows = np.empty((len(replicates), words), dtype="<u8")
+    for row, replicate in zip(rows, replicates):
+        row[:] = stream(seed, replicate, domain).bit_generator.random_raw(words)
+    return rows
 
 
 def _check_steps(steps: int) -> None:

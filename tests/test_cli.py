@@ -399,8 +399,10 @@ _UINT64_EDGES = [0, 1, 9, 10, 99, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 def test_json_table_matches_json_module(monkeypatch):
     # Records cross block boundaries; keys are out of order in the header.
-    # JSON floats are repr, so the mixed table goes through the % template;
-    # the integer one goes through the digit kernel, as every CSV table does.
+    # JSON floats are repr; integers come from the digit kernel, as in CSV.
+    # The last table's floats straddle the two points where repr switches
+    # notation, 1e16 and 1e-4, and a float32 column is written as the repr
+    # of its doubles, as json does (numpy's float32 text is shorter).
     monkeypatch.setattr(cli, "_BLOCK", 3)
     mixed = (
         np.array([3, -1, 0, 7, 2, 5, 9], dtype=np.int64),
@@ -408,14 +410,35 @@ def test_json_table_matches_json_module(monkeypatch):
         np.arange(7, dtype=np.uint16),
     )
     integer = (mixed[0], np.array(_INT64_EDGES[:7]), mixed[2])
+    switches = (
+        np.array([1e16, np.nextafter(1e16, 0), -1e16, 1.5e16, 1e-4, -1e-4, 9e15]),
+        np.array([1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e-5, 5e-5, 2e-4, 0.0]),
+        np.array([0.1, 1 / 3, 1e-5, 3e38, -2.5, 0.0, 1e16], dtype=np.float32),
+    )
     header = ["x", "h", "a"]
-    for columns in (mixed, integer):
+    for columns in (mixed, integer, switches):
         for stride in (1, 2, 7):
             records = [
                 dict(zip(header, row)) for row in zip(*(c[::stride].tolist() for c in columns))
             ]
             expected = json.dumps(records, indent=2, sort_keys=True) + "\n"
             assert b"".join(_table("json", header, columns, stride)).decode() == expected
+
+
+def test_json_float_cells_are_repr():
+    # JSON float cells are repr, packed into bytes by numpy: random finite bit
+    # patterns, random values around fixed notation, and the edges where repr
+    # switches notation or runs out of range, each within the 32-byte cell.
+    rng = np.random.default_rng(36)
+    bits = rng.integers(0, 2**64, size=50_000, dtype=np.uint64).view(np.float64)
+    near = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-6.0, 18.0, 20_000)
+    switches = [1e16, 1e-4, 1e-5, 1.0, 2.0**53]
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, *switches]
+    edges += [np.nextafter(x, to) for x in switches for to in (0.0, np.inf)]
+    values = np.concatenate([bits[np.isfinite(bits)], near, edges, np.negative(edges)])
+    reprs = [repr(v).encode() for v in values.tolist()]
+    cells = cli._repr_cells(values)
+    assert [row.tobytes().rstrip(b"\0") for row in cells] == reprs
 
 
 def _template_table(fmt, header, columns, stride):

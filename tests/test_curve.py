@@ -63,6 +63,15 @@ def test_build_trace_band_estimator_subsamples():
     assert np.allclose(trace.heights, direct)
 
 
+def test_band_trace_times_are_strictly_increasing_and_end_the_walk():
+    # The floored linspace steps by at least one, so it holds no duplicate.
+    for steps in [*range(301), 10**5 + 1, 2**20 - 1, 999_983]:
+        trace = _trace(steps, 5, 7, estimator="band")
+        assert len(trace.times) == min(steps + 1, curve._BAND_TRACE_POINTS), steps
+        assert np.all(np.diff(trace.times) > 0), steps
+        assert trace.times[0] == 0.0 and trace.times[-1] == steps / 7, steps
+
+
 def test_build_trace_rejects_unknown_estimator():
     with pytest.raises(ValueError):
         _trace(5, 0, 5, estimator="quantum")

@@ -19,6 +19,7 @@ from wallcurve import (
     reflection_tail,
     sample_exact,
     sample_identity_pair,
+    walk,
 )
 from wallcurve.oracle import IDENTITY_SIDES
 from wallcurve.walk import stream, walk_sites
@@ -289,7 +290,7 @@ def _straight_streams(word: int):
 @pytest.mark.parametrize("m", [112, 113, 127, 128, 32752, 32753, 32767, 32768])
 @pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
 def test_straight_walks_at_the_sum_type_boundaries(m, up):
-    with mock.patch.object(oracle, "stream", _straight_streams(2**64 - 1 if up else 0)):
+    with mock.patch.object(walk, "stream", _straight_streams(2**64 - 1 if up else 0)):
         pairs = {side: sample_identity_pair(1.0, 0, m, side, 3) for side in ("lhs", "reversal", "levy")}
     end = m if up else -m
     expected = {"lhs": (end, 1), "reversal": (end, 1), "levy": (0, m) if up else (m, 0)}
@@ -373,7 +374,7 @@ def _direct_pairs(m: int, side: str) -> np.ndarray:
 def test_identity_sampler_on_every_short_walk(m):
     # All 2**m walks of m steps, through every side: the chunk seams, the
     # cleared tail and the reversal's tail visit, walk by walk.
-    with mock.patch.object(oracle, "stream", _bits_of_replicate(m)):
+    with mock.patch.object(walk, "stream", _bits_of_replicate(m)):
         for side in IDENTITY_SIDES:
             pairs = sample_identity_pair(1.0, 0, m, side, 2**m)
             assert np.array_equal(pairs, _direct_pairs(m, side)), side
@@ -389,7 +390,7 @@ def test_identity_sampler_builds_one_stream_per_replicate_and_draw(side):
         keys.append((replicate, domain))
         return stream(seed, replicate, domain)
 
-    with mock.patch.object(oracle, "_BLOCK_BYTES", 100), mock.patch.object(oracle, "stream", spy):
+    with mock.patch.object(oracle, "_BLOCK_BYTES", 100), mock.patch.object(walk, "stream", spy):
         sample_identity_pair(1.0, 3, 200, side, 7)
     domains = {"lhs": [0], "reversal": [1], "levy": [2], "signed": [2, 3]}[side]
     assert sorted(keys) == sorted((r, d) for r in range(7) for d in domains)

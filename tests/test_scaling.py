@@ -1,6 +1,7 @@
 """Rescaling and the two local-time estimators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,22 @@ def test_narrow_dtype_walk_gives_the_int64_band_estimates(dtype):
             local_time_profile(narrow, t, levels), local_time_profile(wide, t, levels)
         )
     assert np.array_equal(build_trace(narrow, "band").heights, build_trace(wide, "band").heights)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_band_profile_tallies_a_fresh_wall_without_copying_the_walk(dtype):
+    # A fresh path's wall is tallied from the sites less their minimum, one
+    # int64 array of the walk's length (7.6 MiB here) and the grid.  A copy
+    # of the walk made before that subtraction doubles the peak to 15.3 MiB.
+    path = ScaledPath(n=10**6, positions=simulate_walk(10**6, seed=1).astype(dtype))
+    levels = np.linspace(-3.0, 3.0, 101)
+    tracemalloc.start()
+    try:
+        local_time_profile(path, 1.0, levels, estimator="band")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * 2**20
 
 
 def test_band_too_narrow_for_float64_is_refused():

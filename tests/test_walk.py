@@ -15,7 +15,7 @@ from wallcurve import (
     stream,
 )
 from wallcurve.stats import _chi2_sf
-from wallcurve.walk import walk_sites
+from wallcurve.walk import _replicate_words, walk_sites
 
 
 def _blocks(field):
@@ -117,6 +117,19 @@ def test_stream_reads_no_os_entropy(monkeypatch):
     for replicate in range(10):
         stream(3, replicate, 1)
     assert reads == []
+
+
+@pytest.mark.parametrize("words", [1, 157])
+def test_replicate_words_are_each_streams_first_words(words):
+    # 157 words are a 10**4-step walk, read by the identity sampler in
+    # blocks of 52 replicates: a read across that boundary, split at it or
+    # not, gives each replicate's own first words.
+    whole = _replicate_words(11, range(50, 55), 2, words)
+    assert whole.dtype == np.dtype("<u8") and whole.shape == (5, words)
+    split = np.concatenate([_replicate_words(11, range(50, 52), 2, words),
+                            _replicate_words(11, range(52, 55), 2, words)])
+    direct = [stream(11, r, 2).bit_generator.random_raw(words) for r in range(50, 55)]
+    assert np.array_equal(whole, split) and np.array_equal(whole, direct)
 
 
 @pytest.mark.parametrize("first, count", [(-5, 10), (0, -1)])
